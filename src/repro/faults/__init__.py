@@ -18,11 +18,6 @@ from repro.faults.perturb import (
     apply_tail_faults,
     realize_perturbed,
 )
-from repro.faults.policies import (
-    luck_fractions,
-    simulate_dynamic_faulty,
-    simulate_repair,
-)
 from repro.faults.scenario import (
     FaultScenario,
     LinkFault,
@@ -38,6 +33,7 @@ from repro.faults.spec import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.sim.dynamic import luck_fractions
 
 __all__ = [
     "POLICIES",
@@ -48,8 +44,6 @@ __all__ = [
     "apply_tail_faults",
     "realize_perturbed",
     "luck_fractions",
-    "simulate_dynamic_faulty",
-    "simulate_repair",
     "FaultScenario",
     "SlowdownFault",
     "OutageFault",

@@ -26,11 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.perturb import apply_tail_faults, realize_perturbed
-from repro.faults.policies import (
-    luck_fractions,
-    simulate_dynamic_faulty,
-    simulate_repair,
-)
 from repro.faults.scenario import FaultScenario
 from repro.heuristics.heft import upward_ranks
 from repro.obs import runtime as obs
@@ -42,6 +37,11 @@ from repro.robustness.metrics import (
 )
 from repro.schedule.evaluation import batch_makespans, evaluate
 from repro.schedule.schedule import Schedule
+from repro.sim.dynamic import (
+    luck_fractions,
+    simulate_dynamic,
+    simulate_semi_dynamic,
+)
 from repro.sim.eventsim import simulate
 from repro.utils.rng import as_generator
 
@@ -159,7 +159,12 @@ def assess_robustness_faulty(
         faults after — the zero-fault stream layout matches the plain
         path exactly).
     policy:
-        One of :data:`POLICIES`; see :mod:`repro.faults.policies`.
+        One of :data:`POLICIES`: ``rerun-static`` runs the schedule as
+        planned (:func:`repro.sim.eventsim.simulate`), ``repair`` keeps
+        its assignment but orders and re-dispatches at runtime
+        (:func:`repro.sim.dynamic.simulate_semi_dynamic`), ``dynamic``
+        places every task online
+        (:func:`repro.sim.dynamic.simulate_dynamic`).
     family:
         Base duration distribution family (the faults perturb *on top*
         of it).
@@ -233,12 +238,12 @@ def assess_robustness_faulty(
             priorities = upward_ranks(schedule.problem)
             realized = np.empty(n_realizations, dtype=np.float64)
             for r in range(n_realizations):
-                run = simulate_repair(
+                run = simulate_semi_dynamic(
                     schedule.problem,
                     schedule.proc_of,
                     durations[r],
-                    env,
                     priorities,
+                    env=env,
                 )
                 realized[r] = run.makespan
                 n_redispatches += int(
@@ -273,9 +278,7 @@ def _assess_dynamic(
             "the dynamic policy supports only the uniform duration family"
         )
     priorities = upward_ranks(problem)
-    m0 = simulate_dynamic_faulty(
-        problem, problem.expected_times, None, priorities
-    ).makespan
+    m0 = simulate_dynamic(problem, problem.expected_times, priorities).makespan
 
     unc = problem.uncertainty
     low_m = unc.bcet
@@ -311,8 +314,8 @@ def _assess_dynamic(
                     durations = np.where(
                         outlier_rows[:, None], stretched, durations
                     )
-        realized[r] = simulate_dynamic_faulty(
-            problem, durations, env, priorities
+        realized[r] = simulate_dynamic(
+            problem, durations, priorities, env=env
         ).makespan
     if n_outliers:
         obs.add("faults.tail_outliers", n_outliers)

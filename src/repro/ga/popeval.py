@@ -33,6 +33,7 @@ kernels produce on the same inputs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from typing import Sequence
 
@@ -242,7 +243,11 @@ def _eval_native(
     dur = np.ascontiguousarray(dur)
 
     n_threads = 1
-    if lib.has_openmp():
+    # libgomp's thread pool does not survive fork(): a worker forked after
+    # its parent ran a parallel region would wait forever in its own, for
+    # threads that were never copied.  Worker processes run single-threaded;
+    # the results do not depend on the thread count.
+    if lib.has_openmp() and multiprocessing.parent_process() is None:
         n_threads = max(1, min(P, os.cpu_count() or 1))
     ws_f = np.empty((n_threads, 3 * n), dtype=np.float64)
     ws_i = np.empty((n_threads, m), dtype=np.int64)

@@ -37,6 +37,12 @@ from repro.schedule.schedule import Schedule
 __all__ = ["GanttEntry", "SimulationResult", "simulate"]
 
 
+def check_env(env, m: int) -> None:
+    """Reject an execution environment built for another processor count."""
+    if env is not None and env.m != m:
+        raise ValueError(f"env models m={env.m} processors, the problem has m={m}")
+
+
 @dataclass(frozen=True)
 class GanttEntry:
     """One bar of the Gantt chart: a task's placement in the execution."""
@@ -104,9 +110,9 @@ def simulate(
         ``(n,)`` actual execution time of every task on its assigned
         processor; defaults to the expected durations.
     env:
-        Optional fault environment (duck-typed:
-        ``earliest_start(p, t)``, ``finish_time(p, t, work)``,
-        ``comm_factor(src, dst, t)`` — see
+        Optional fault environment (duck-typed: its processor count
+        ``m``, which must equal the schedule's, ``earliest_start(p, t)``,
+        ``finish_time(p, t, work)``, ``comm_factor(src, dst, t)`` — see
         :class:`repro.faults.environment.FaultEnvironment`).  Tasks on a
         processor in outage stall until recovery; permanent failures
         produce infinite finish times and an infinite makespan.
@@ -123,6 +129,7 @@ def simulate(
         raise ValueError(
             f"durations must have shape ({schedule.n},), got {durations.shape}"
         )
+    check_env(env, schedule.m)
 
     problem = schedule.problem
     graph = problem.graph

@@ -43,6 +43,18 @@ def _well_behaved(seed):
     return {"pid": os.getpid(), "values": _seeded_values(seed)}
 
 
+def _well_behaved_after(marker_dir, key, seed, timeout=30.0):
+    """`_well_behaved`, finishing only after *key* has attempted (and
+    killed its worker) plus a short hold, so the lost worker is detected
+    while this task is still unfinished."""
+    marker = os.path.join(marker_dir, f"{key}.attempted")
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(marker) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)
+    return _well_behaved(seed)
+
+
 def _poison():
     raise ValueError("this task always fails")
 
@@ -58,6 +70,9 @@ class TestSigkillRecovery:
     def test_killed_worker_task_retried_with_same_result(self, tmp_path):
         """A SIGKILLed worker's in-flight task reruns elsewhere, same seed,
         identical result."""
+        # The collateral tasks outlast the victim's first attempt: if they
+        # all finished before the loss is seen, one worker would suffice
+        # for the remaining work and no replacement would be spawned.
         specs = [
             TaskSpec(
                 key="victim",
@@ -67,7 +82,12 @@ class TestSigkillRecovery:
                 max_retries=2,
             )
         ] + [
-            TaskSpec(key=f"ok{i}", fn=_well_behaved, args=(i,), seed=i)
+            TaskSpec(
+                key=f"ok{i}",
+                fn=_well_behaved_after,
+                args=(str(tmp_path), "victim", i),
+                seed=i,
+            )
             for i in range(4)
         ]
         sched = Scheduler(ClusterConfig(n_workers=2, **SUPERVISED))

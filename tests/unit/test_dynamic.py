@@ -1,10 +1,79 @@
 """Unit tests for the dynamic (online) scheduling baseline."""
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
-from repro.sim.dynamic import assess_dynamic, simulate_dynamic
+from repro.sim.dynamic import assess_dynamic, simulate_dynamic, simulate_semi_dynamic
 from tests.conftest import make_random_problem
+
+
+def _send_result(conn, fn, args):
+    conn.send(fn(*args))
+    conn.close()
+
+
+def _call_bounded(fn, *args, timeout=60.0):
+    """``fn(*args)`` in a spawned child; fails instead of hanging."""
+    ctx = mp.get_context("spawn")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(send, fn, args), daemon=True)
+    child.start()
+    send.close()
+    try:
+        result = recv.recv() if recv.poll(timeout) else None
+        child.join(timeout=10.0)
+        assert not child.is_alive(), f"{fn.__name__} did not return in {timeout:g}s"
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+        recv.close()
+    return result
+
+
+def _infinite_duration_case():
+    """A medium-sized instance, its HEFT assignment, and one realization
+    in which an early task with successors never finishes."""
+    from repro.heuristics.heft import HeftScheduler
+
+    problem = make_random_problem(17, n=60, m=4)
+    heft = HeftScheduler().schedule(problem)
+    durations = heft.realize_durations(1, rng=3)[0]
+    graph = problem.graph
+    stuck = next(v for v in heft.proc_orders[0] if len(graph.successors(v)))
+    return problem, heft.proc_of, durations, int(stuck)
+
+
+def _assert_causal(problem, run):
+    """No task starts before a predecessor finishes; every task is placed."""
+    assert not np.any(np.isnan(run.start_times))
+    assert not np.any(np.isnan(run.finish_times))
+    assert np.all((run.proc_of >= 0) & (run.proc_of < problem.m))
+    for u, v, _ in problem.graph.edges():
+        assert run.start_times[v] >= run.finish_times[u]
+
+
+class TestInfiniteDurations:
+    """A task that never finishes ends the run at ``+inf``; it must not
+    hang the loop, invent a processor, or start successors early."""
+
+    def test_semi_dynamic_terminates_with_infinite_makespan(self):
+        problem, proc_of, durations, stuck = _infinite_duration_case()
+        durations[stuck] = np.inf
+        run = _call_bounded(simulate_semi_dynamic, problem, proc_of, durations)
+        assert run.makespan == np.inf
+        assert np.array_equal(run.proc_of, proc_of)
+        _assert_causal(problem, run)
+
+    def test_mct_keeps_processors_in_range_and_causal(self):
+        problem, _, _, stuck = _infinite_duration_case()
+        durations = problem.expected_times.copy()
+        durations[stuck, :] = np.inf
+        run = _call_bounded(simulate_dynamic, problem, durations)
+        assert run.makespan == np.inf
+        _assert_causal(problem, run)
 
 
 class TestSimulateDynamic:
@@ -164,10 +233,11 @@ class TestSimulateSemiDynamic:
 
         with pytest.raises(ValueError, match="proc_of"):
             simulate_semi_dynamic(diamond_problem, np.zeros(3, int), np.ones(4))
-        with pytest.raises(ValueError, match="out of range"):
-            simulate_semi_dynamic(
-                diamond_problem, np.full(4, 9), np.ones(4)
-            )
+        for bad in (9, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                simulate_semi_dynamic(
+                    diamond_problem, np.full(4, bad), np.ones(4)
+                )
         with pytest.raises(ValueError, match="durations"):
             simulate_semi_dynamic(
                 diamond_problem, np.zeros(4, int), np.ones(3)

@@ -27,11 +27,10 @@ from repro.faults import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    simulate_dynamic_faulty,
-    simulate_repair,
 )
 from repro.robustness.montecarlo import assess_robustness
 from repro.schedule.schedule import Schedule
+from repro.sim.dynamic import simulate_dynamic, simulate_semi_dynamic
 from repro.sim.eventsim import simulate
 from tests.conftest import make_random_problem
 
@@ -414,7 +413,7 @@ class TestRepairPolicy:
 
         s = HeftScheduler().schedule(problem)
         d = _assigned_durations(problem, s.proc_of, rng=5)
-        run = simulate_repair(problem, s.proc_of, d, None)
+        run = simulate_semi_dynamic(problem, s.proc_of, d, env=FaultEnvironment(3))
         assert np.isfinite(run.makespan)
         assert np.array_equal(run.proc_of, s.proc_of)
         assert np.all(np.isfinite(run.finish_times))
@@ -425,7 +424,7 @@ class TestRepairPolicy:
         proc_of = np.array([0, 0, 1, 1])
         d = np.array([2.0, 4.0, 4.0, 3.0])  # expected times on assignment
         env = FaultEnvironment(2, (OutageFault(processor=0, start=0.0),))
-        run = simulate_repair(diamond_problem, proc_of, d, env)
+        run = simulate_semi_dynamic(diamond_problem, proc_of, d, env=env)
         assert np.isfinite(run.makespan)
         assert np.all(run.proc_of == 1)  # both p0 tasks repaired onto p1
         # rerun-static in the same world strands everything.
@@ -436,7 +435,7 @@ class TestRepairPolicy:
         proc_of = np.array([0, 0, 1, 1])
         d = np.array([2.0, 4.0, 4.0, 3.0])
         env = FaultEnvironment(2, (OutageFault(start=0.0),))
-        run = simulate_repair(diamond_problem, proc_of, d, env)  # no deadlock
+        run = simulate_semi_dynamic(diamond_problem, proc_of, d, env=env)  # no deadlock
         assert math.isinf(run.makespan)
 
     def test_mid_run_failure_repairs_remaining_tasks(self):
@@ -446,53 +445,60 @@ class TestRepairPolicy:
         s = HeftScheduler().schedule(problem)
         d = _assigned_durations(problem, s.proc_of, rng=6)
         env = FaultEnvironment(3, (OutageFault(processor=0, start=1.0),))
-        run = simulate_repair(problem, s.proc_of, d, env)
+        run = simulate_semi_dynamic(problem, s.proc_of, d, env=env)
         assert np.isfinite(run.makespan)
         # Whatever could not run on p0 before its death moved elsewhere.
         late_on_p0 = (run.proc_of == 0) & (run.start_times >= 1.0)
         assert not np.any(late_on_p0)
 
     def test_rejects_wrong_shapes(self, diamond_problem):
+        env = FaultEnvironment(2)
         with pytest.raises(ValueError, match="proc_of"):
-            simulate_repair(diamond_problem, np.zeros(3, dtype=int), np.ones(4), None)
+            simulate_semi_dynamic(
+                diamond_problem, np.zeros(3, dtype=int), np.ones(4), env=env
+            )
         with pytest.raises(ValueError, match="durations"):
-            simulate_repair(
-                diamond_problem, np.zeros(4, dtype=int), np.ones(3), None
+            simulate_semi_dynamic(
+                diamond_problem, np.zeros(4, dtype=int), np.ones(3), env=env
             )
 
 
 class TestDynamicFaultyPolicy:
-    def test_matches_plain_dynamic_without_environment(self):
-        from repro.sim.dynamic import simulate_dynamic
-
-        problem = make_random_problem(3, n=14, m=3)
-        gen = np.random.default_rng(9)
-        low = problem.uncertainty.bcet
-        high = (2.0 * problem.uncertainty.ul - 1.0) * low
-        durations = gen.uniform(low, high)
-        plain = simulate_dynamic(problem, durations)
-        faulty = simulate_dynamic_faulty(problem, durations, None)
-        assert faulty.makespan == plain.makespan
-        assert np.array_equal(faulty.proc_of, plain.proc_of)
-        assert np.array_equal(faulty.start_times, plain.start_times)
-
     def test_avoids_dead_processor(self):
         problem = make_random_problem(5, n=12, m=3)
         env = FaultEnvironment(3, (OutageFault(processor=1, start=0.0),))
         durations = np.maximum(problem.expected_times, 1e-9)
-        run = simulate_dynamic_faulty(problem, durations, env)
+        run = simulate_dynamic(problem, durations, env=env)
         assert np.isfinite(run.makespan)
         assert not np.any(run.proc_of == 1)
 
     def test_all_dead_world_completes_with_infinite_makespan(self):
         problem = make_random_problem(6, n=8, m=2)
         env = FaultEnvironment(2, (OutageFault(start=0.0),))
-        run = simulate_dynamic_faulty(problem, problem.expected_times, env)
+        run = simulate_dynamic(problem, problem.expected_times, env=env)
         assert math.isinf(run.makespan)
+        assert np.all((run.proc_of >= 0) & (run.proc_of < 2))
 
     def test_rejects_wrong_shape(self, diamond_problem):
         with pytest.raises(ValueError, match="durations"):
-            simulate_dynamic_faulty(diamond_problem, np.ones((4, 3)), None)
+            simulate_dynamic(diamond_problem, np.ones((4, 3)), env=FaultEnvironment(2))
+
+
+@pytest.mark.parametrize("sim", ["static", "semi-dynamic", "dynamic"])
+@pytest.mark.parametrize("env_m", [1, 3])
+def test_environment_must_match_processor_count(diamond_problem, sim, env_m):
+    """An environment for more processors would silently drop their
+    faults, one for fewer would index past its timelines: both raise."""
+    env = FaultEnvironment(env_m, (OutageFault(processor=env_m - 1, start=0.0),))
+    d = np.array([2.0, 4.0, 4.0, 3.0])
+    proc_of = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="m="):
+        if sim == "static":
+            simulate(Schedule(diamond_problem, [[0, 1], [2, 3]]), d, env=env)
+        elif sim == "semi-dynamic":
+            simulate_semi_dynamic(diamond_problem, proc_of, d, env=env)
+        else:
+            simulate_dynamic(diamond_problem, d, env=env)
 
 
 # --------------------------------------------------------------------- #
