@@ -5,8 +5,9 @@ Runs the five kernels of ``benchmarks/test_perf_kernels.py`` — schedule
 construction, static evaluation, 1000-realization batch makespans, HEFT on a
 100-task instance, and one full GA run — plus ``ga_generation_pop``, the
 marginal cost of a single GA generation through the population kernel
-(selection + variation + one :func:`repro.ga.popeval.evaluate_population`
-dispatch on pre-initialised engine state).  ``ga_generation`` keeps its
+(selection + in-place variation of the population arrays + one
+:class:`repro.ga.popeval.PopulationEvaluator` call on pre-initialised
+engine state).  ``ga_generation`` keeps its
 historical definition (a full 1-iteration run, dominated by the fixed
 population-initialisation cost) so it stays comparable across the recorded
 baselines; ``ga_generation_pop`` is what the evolution loop actually pays
@@ -39,11 +40,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 from bench_util import bench_meta
 
 from repro.core.problem import SchedulingProblem
 from repro.ga.engine import GAParams, GeneticScheduler
 from repro.ga.fitness import SlackFitness
+from repro.ga.popeval import PopulationEvaluator
 from repro.ga.selection import binary_tournament
 from repro.graph.generator import DagParams
 from repro.heuristics.heft import HeftScheduler
@@ -84,11 +87,19 @@ def build_kernels() -> dict:
     ga_params = GAParams(max_iterations=1, stagnation_limit=100)
 
     # Pre-initialised state for the marginal-generation kernel: the
-    # population and its scores are built once, outside the timed region.
+    # population arrays, their scores and the bound evaluator are built
+    # once, outside the timed region.
     setup_engine = GeneticScheduler(SlackFitness(), ga_params, rng=2)
     base_population = setup_engine._initial_population(problem)
-    base_individuals = setup_engine._evaluate_batch(problem, base_population, {})
+    base_orders = np.stack([c.order for c in base_population])
+    base_procs = np.stack([c.proc_of for c in base_population])
+    evaluator = PopulationEvaluator(problem)
+    base_individuals, _ = setup_engine._evaluate_batch(
+        evaluator, base_orders, base_procs, {}
+    )
     base_scores = setup_engine.fitness.scores(base_individuals)
+    child_orders = np.empty_like(base_orders)
+    child_procs = np.empty_like(base_procs)
 
     def one_generation() -> None:
         # Marginal cost of one evolution step: selection, variation, one
@@ -97,10 +108,13 @@ def build_kernels() -> dict:
         # makes each child a true miss so the evaluation actually runs.
         engine = GeneticScheduler(SlackFitness(), ga_params, rng=3)
         selected = binary_tournament(base_scores, engine._rng)
-        children = engine._next_generation(
-            problem, [base_population[i] for i in selected]
+        engine._next_generation(
+            problem, base_orders, base_procs, selected, child_orders, child_procs
         )
-        engine.fitness.scores(engine._evaluate_batch(problem, children, {}))
+        individuals, _ = engine._evaluate_batch(
+            evaluator, child_orders, child_procs, {}
+        )
+        engine.fitness.scores(individuals)
 
     return {
         "schedule_construction": lambda: Schedule(problem, orders),

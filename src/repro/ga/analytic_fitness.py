@@ -50,8 +50,6 @@ class AnalyticRobustnessFitness:
     evaluations (elites, copied survivors) pay once.
     """
 
-    uses_slack = False  # scores read makespan + Clark moments, never slack
-
     def __init__(self, epsilon: float, m_heft: float) -> None:
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")

@@ -22,7 +22,10 @@ Two hot loops live here:
   the string), the disjunctive forward pass, the optional backward pass
   and the slack computation entirely in C, parallelised over individuals
   with OpenMP when the toolchain supports ``-fopenmp`` (probed at compile
-  time; ``has_openmp`` reports the outcome).
+  time; ``has_openmp`` reports the outcome).  On request it first checks
+  every row (processors in range, a permutation, a topological order),
+  so the GA validates each generation in the same call that evaluates
+  it.
 
 The extension is strictly optional and self-contained:
 
@@ -236,6 +239,38 @@ static void ga_eval_one(
     }
 }
 
+/* Validation of one individual before it is evaluated.  Returns 0 when
+ * the row is legal, else the first failing check in this order:
+ *   1  a processor index outside [0, m)
+ *   2  the scheduling string is not a permutation of 0..n-1
+ *   3  the scheduling string is not a topological order
+ * Every index read from the row is range-checked before it is used to
+ * address memory.  pos is a scratch row of length n.
+ */
+static int64_t ga_check_one(
+    int64_t n, int64_t m,
+    const int64_t *ord, const int64_t *pr,
+    const int64_t *pred_indptr, const int64_t *pred_eidx,
+    const int64_t *esrc, int64_t *pos)
+{
+    for (int64_t v = 0; v < n; v++)
+        if (pr[v] < 0 || pr[v] >= m)
+            return 1;
+    for (int64_t v = 0; v < n; v++)
+        pos[v] = -1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t v = ord[i];
+        if (v < 0 || v >= n || pos[v] >= 0)
+            return 2;
+        pos[v] = i;
+    }
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t p = pred_indptr[v]; p < pred_indptr[v + 1]; p++)
+            if (pos[esrc[pred_eidx[p]]] >= pos[v])
+                return 3;
+    return 0;
+}
+
 /* Population-wide GA evaluation: decode + forward + backward + slack
  * for every individual in one call.
  *
@@ -244,6 +279,7 @@ static void ga_eval_one(
  * need_slack : 0 = makespans only, 1 = also fill the slack matrix
  * n_threads  : OpenMP width (scratch has this many rows); ignored
  *              without OpenMP
+ * validate : 1 = check every row (ga_check_one) before evaluating it
  * orders   : (pop, n) scheduling strings (topological orders)
  * procs    : (pop, n) processor index per task
  * pred_*   : task-graph in-edge CSR (indptr by dst, edge ids, sources)
@@ -252,13 +288,17 @@ static void ga_eval_one(
  * inv_rates: (m, m) reciprocal transfer rates, zero diagonal
  * dur      : (n, m) duration of task v on processor p
  * ws_f     : (n_threads, 3n) float scratch
- * ws_i     : (n_threads, m) int scratch
+ * ws_i     : (n_threads, m + n) int scratch
  * makespans: (pop,) output
  * slacks   : (pop, n) output (written only when need_slack)
+ *
+ * Returns 0, or the smallest ga_check_one code over all rows (so the
+ * reported problem does not depend on which row carries it); rows that
+ * fail validation are not evaluated and the outputs are then undefined.
  */
-void ga_population_eval(
+int64_t ga_population_eval(
     int64_t pop, int64_t n, int64_t m,
-    int64_t need_slack, int64_t n_threads,
+    int64_t need_slack, int64_t n_threads, int64_t validate,
     const int64_t *orders, const int64_t *procs,
     const int64_t *pred_indptr, const int64_t *pred_eidx,
     const int64_t *esrc,
@@ -268,8 +308,9 @@ void ga_population_eval(
     double *ws_f, int64_t *ws_i,
     double *makespans, double *slacks)
 {
+    int64_t rc = 4; /* above every error code: min() keeps the first check */
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads((int)n_threads)
+#pragma omp parallel for schedule(static) num_threads((int)n_threads) reduction(min:rc)
 #endif
     for (int64_t p = 0; p < pop; p++) {
         int64_t t = 0;
@@ -277,14 +318,26 @@ void ga_population_eval(
         t = (int64_t)omp_get_thread_num();
 #endif
         double *tl = ws_f + t * 3 * n;
+        int64_t *cur = ws_i + t * (m + n);
+        if (validate) {
+            int64_t code = ga_check_one(n, m, orders + p * n, procs + p * n,
+                                        pred_indptr, pred_eidx, esrc,
+                                        cur + m);
+            if (code) {
+                if (code < rc)
+                    rc = code;
+                continue;
+            }
+        }
         ga_eval_one(n, m, need_slack,
                     orders + p * n, procs + p * n,
                     pred_indptr, pred_eidx, esrc,
                     succ_indptr, succ_eidx, edst,
                     edata, inv_rates, dur,
-                    tl, tl + n, tl + 2 * n, ws_i + t * m,
+                    tl, tl + n, tl + 2 * n, cur,
                     makespans + p, slacks + p * n);
     }
+    return rc == 4 ? 0 : rc;
 }
 """
 
@@ -346,8 +399,8 @@ def _load() -> ctypes.CDLL | None:
     ] * 7
     lib.has_openmp.restype = ctypes.c_int64
     lib.has_openmp.argtypes = []
-    lib.ga_population_eval.restype = None
-    lib.ga_population_eval.argtypes = [ctypes.c_int64] * 5 + [
+    lib.ga_population_eval.restype = ctypes.c_int64
+    lib.ga_population_eval.argtypes = [ctypes.c_int64] * 6 + [
         ctypes.c_void_p
     ] * 15
     return lib

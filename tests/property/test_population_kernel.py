@@ -190,6 +190,56 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             evaluate_population(problem, [bad])
 
+    @pytest.fixture(params=["native", "numpy"])
+    def backend(self, request, monkeypatch):
+        if request.param == "native":
+            if _native.get_lib() is None:
+                pytest.skip("native kernel unavailable")
+        else:
+            monkeypatch.setattr(_native, "_lib", None)
+            monkeypatch.setattr(_native, "_tried", True)
+        return request.param
+
+    @pytest.mark.parametrize("bad_id", [-1, 8])
+    def test_rejects_task_id_out_of_range(self, backend, bad_id):
+        problem = self._problem()
+        good = _population(problem, 1, seed=0)[0]
+        for at in (0, 7):
+            order = good.order.copy()
+            order[at] = bad_id
+            bad = Chromosome(order=order, proc_of=good.proc_of)
+            with pytest.raises(ValueError, match="not a permutation"):
+                evaluate_population(problem, [good, bad])
+
+    def test_rejects_negative_processor(self, backend):
+        problem = self._problem()
+        good = _population(problem, 1, seed=0)[0]
+        procs = good.proc_of.copy()
+        procs[3] = -1
+        bad = Chromosome(order=good.order, proc_of=procs)
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_population(problem, [good, bad])
+
+    def test_first_failing_check_wins_across_rows(self, backend):
+        """Both backends report the earliest check any row fails, in the
+        order processors, permutation, topological order."""
+        problem = self._problem()
+        good = _population(problem, 1, seed=0)[0]
+        not_perm = Chromosome(
+            order=np.zeros(8, dtype=np.int64), proc_of=good.proc_of
+        )
+        bad_proc = Chromosome(
+            order=good.order, proc_of=np.full(8, problem.m, dtype=np.int64)
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_population(problem, [not_perm, bad_proc])
+        if problem.graph.edge_src.size:
+            reversed_ = Chromosome(
+                order=good.order[::-1].copy(), proc_of=good.proc_of
+            )
+            with pytest.raises(ValueError, match="not a permutation"):
+                evaluate_population(problem, [reversed_, not_perm])
+
     def test_rejects_nan_durations(self):
         problem = self._problem()
         pop = _population(problem, 2, seed=0)

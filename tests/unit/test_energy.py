@@ -19,6 +19,7 @@ from repro.energy import (
 from repro.faults import assess_robustness_faulty
 from repro.faults.scenario import FaultScenario
 from repro.ga.engine import GAParams, GeneticScheduler
+from repro.ga.popeval import PopulationEvaluator
 from repro.graph.generator import DagParams
 from repro.heuristics.heft import HeftScheduler
 from repro.moop import energy_front
@@ -36,6 +37,18 @@ def _problem(seed=0, n=24, m=4, ul=2.0):
 
 
 _PARAMS = GAParams(population_size=10, max_iterations=15, stagnation_limit=8)
+
+
+def _initial_individuals(engine, problem):
+    """The engine's initial population, evaluated as a run evaluates it."""
+    population = engine._initial_population(problem)
+    individuals, _ = engine._evaluate_batch(
+        PopulationEvaluator(problem),
+        np.stack([c.order for c in population]),
+        np.stack([c.proc_of for c in population]),
+        {},
+    )
+    return individuals
 
 
 # --------------------------------------------------------------------------- #
@@ -173,8 +186,7 @@ class TestEnergyObjective:
         power = PowerModel.default(4)
         fitness = EnergyConstraintFitness.for_problem(problem, power, 50.0)
         engine = GeneticScheduler(fitness, _PARAMS, rng=0)
-        population = engine._initial_population(problem)
-        individuals = engine._evaluate_batch(problem, population, {})
+        individuals = _initial_individuals(engine, problem)
         scores = fitness.scores(individuals)
         proc_of = np.stack([i.chromosome.proc_of for i in individuals])
         makespans = np.asarray([i.makespan for i in individuals])
@@ -187,9 +199,7 @@ class TestEnergyObjective:
         power = PowerModel.default(4)
         fitness = EnergyConstraintFitness.for_problem(problem, power, 1.0)
         engine = GeneticScheduler(fitness, _PARAMS, rng=0)
-        individuals = engine._evaluate_batch(
-            problem, engine._initial_population(problem), {}
-        )
+        individuals = _initial_individuals(engine, problem)
         scores = fitness.scores(individuals)
         feasible = np.asarray(
             [fitness.is_feasible(i.makespan) for i in individuals]
