@@ -5,7 +5,7 @@
 1. run HEFT to obtain the reference makespan ``M_HEFT``;
 2. build the ε-constraint fitness (Eqn. 8) with the user's ``ε``;
 3. evolve with the GA (Sec. 4.2), seeding the initial population with the
-   HEFT chromosome;
+   HEFT chromosome (encoded from the step-1 schedule, so HEFT runs once);
 4. return the slack-maximal schedule satisfying
    ``M_0(s) <= ε · M_HEFT`` (Eqn. 7), along with the HEFT baseline for
    comparison.
@@ -117,7 +117,7 @@ class RobustScheduler:
         engine = GeneticScheduler(
             fitness, self.params, self._rng, warm_start=self.warm_start
         )
-        ga_result = engine.run(problem)
+        ga_result = engine.run(problem, heft_schedule=heft_schedule)
         return RobustResult(
             schedule=ga_result.schedule,
             heft_schedule=heft_schedule,

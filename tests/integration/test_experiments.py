@@ -1,5 +1,9 @@
 """Integration tests for the experiment drivers (smoke scale)."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,8 @@ from repro.experiments import (
     run_slack_effect,
 )
 from repro.experiments.config import SCALES
+from repro.heuristics.heft import HeftScheduler
+from repro.io.json_io import report_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +29,53 @@ def cfg():
 def shared_grid(cfg):
     """One small grid shared by the sweep and best-eps tests."""
     return run_eps_grid(cfg, uls=(2.0, 6.0), epsilons=(1.0, 1.5, 2.0))
+
+
+class TestHeftRunsOncePerSolve:
+    """Each ε-cell's solve runs HEFT once: the GA seed is encoded from the
+    schedule the solver already computed for ``M_HEFT``."""
+
+    #: SHA-256 of the grid's report JSON, recorded when every solve still
+    #: ran HEFT twice (solver + GA seed).
+    GRID_SHA256 = "e1586e5d548551d351596f906d5b3491a7fa487746760e38989e8f1bc06f919c"
+
+    def test_call_count_and_byte_identical_reports(self, monkeypatch):
+        scale = dataclasses.replace(
+            SCALES["smoke"],
+            n_graphs=1,
+            n_realizations=200,
+            ga_max_iterations=25,
+            ga_stagnation=25,
+        )
+        config = ExperimentConfig(scale=scale, seed=7)
+        calls = []
+        schedule = HeftScheduler.schedule
+
+        def counting(self, problem):
+            calls.append(problem.n)
+            return schedule(self, problem)
+
+        monkeypatch.setattr(HeftScheduler, "schedule", counting)
+        uls, epsilons = (2.0, 8.0), (1.0, 1.5, 2.0)
+        results = run_eps_grid(config, uls, epsilons)
+
+        # Per UL: one baseline HEFT in the runner plus one per ε-cell.
+        assert len(calls) == len(uls) * (1 + len(epsilons)) == 8
+        encoded = json.dumps(
+            [
+                {
+                    "instance": o.instance,
+                    "epsilon": o.epsilon,
+                    "mean_ul": o.mean_ul,
+                    "ga": report_to_dict(o.ga),
+                    "heft": report_to_dict(o.heft),
+                }
+                for ul in uls
+                for eps in epsilons
+                for o in results.outcomes(ul, eps)
+            ]
+        )
+        assert hashlib.sha256(encoded.encode()).hexdigest() == self.GRID_SHA256
 
 
 class TestEpsGrid:
