@@ -110,6 +110,50 @@ class TestRun:
         assert result.stop_reason == "stagnation"
         assert result.generations <= 20
 
+    @pytest.mark.parametrize("score", [-1e6, -1.0, -1e-9, 0.0, 1e-9, 1.0])
+    def test_equal_scores_stagnate_at_any_sign(self, small_random_problem, score):
+        """An unchanged best score is never an improvement — also when it
+        is negative, as analytic-robustness and all-infeasible ε-constraint
+        scores are."""
+
+        class ConstantFitness:
+            name = "constant"
+
+            def scores(self, population):
+                return np.full(len(population), score)
+
+        engine = GeneticScheduler(
+            ConstantFitness(),
+            GAParams(max_iterations=50, stagnation_limit=5),
+            rng=9,
+        )
+        result = engine.run(small_random_problem)
+        assert result.stop_reason == "stagnation"
+        assert result.generations == 5
+
+    @pytest.mark.parametrize("start", [-2.0, -1e-3, 0.0, 1e-3, 2.0])
+    def test_strict_gains_reset_stagnation_at_any_sign(
+        self, small_random_problem, start
+    ):
+        """A best score that rises every generation never stagnates."""
+
+        class RisingFitness:
+            name = "rising"
+            calls = 0
+
+            def scores(self, population):
+                self.calls += 1
+                return np.full(len(population), start + 0.01 * self.calls)
+
+        engine = GeneticScheduler(
+            RisingFitness(),
+            GAParams(max_iterations=30, stagnation_limit=3),
+            rng=10,
+        )
+        result = engine.run(small_random_problem)
+        assert result.stop_reason == "max_iterations"
+        assert result.generations == 30
+
     def test_max_iterations_stop(self, small_random_problem):
         engine = GeneticScheduler(
             SlackFitness(),
