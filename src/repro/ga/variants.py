@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.problem import SchedulingProblem
 from repro.ga.chromosome import Chromosome
 from repro.ga.crossover import order_crossover
-from repro.ga.mutation import legal_window
+from repro.ga.mutation import move_task
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -114,17 +114,11 @@ def rebalance_mutation(
     task's position is re-drawn inside its legal window like the paper's
     operator; only the processor choice is greedy.
     """
-    gen = as_generator(rng)
-    n = chromosome.n
-    task = int(gen.integers(n))
-
-    lo, hi = legal_window(problem, chromosome.order, task)
-    insert_at = int(gen.integers(lo, hi + 1))
-    reduced = chromosome.order[chromosome.order != task]
-    new_order = np.insert(reduced, insert_at, task)
+    new_order = chromosome.order.copy()
+    task = move_task(problem, new_order, as_generator(rng))
 
     times = problem.expected_times
-    idx = np.arange(n)
+    idx = np.arange(chromosome.n)
     load = np.zeros(problem.m, dtype=np.float64)
     np.add.at(load, chromosome.proc_of, times[idx, chromosome.proc_of])
     # Remove the task's own contribution before choosing its new home.
