@@ -2,7 +2,8 @@
 
 :class:`RobustScheduler` wires together everything Sec. 4 describes:
 
-1. run HEFT to obtain the reference makespan ``M_HEFT``;
+1. run HEFT (or take the caller's HEFT schedule) to obtain the reference
+   makespan ``M_HEFT``;
 2. build the ε-constraint fitness (Eqn. 8) with the user's ``ε``;
 3. evolve with the GA (Sec. 4.2), seeding the initial population with the
    HEFT chromosome (encoded from the step-1 schedule, so HEFT runs once);
@@ -109,9 +110,22 @@ class RobustScheduler:
         self._rng = as_generator(rng)
         self.warm_start = warm_start
 
-    def solve(self, problem: SchedulingProblem) -> RobustResult:
-        """Run the full pipeline on *problem*."""
-        heft_schedule = HeftScheduler().schedule(problem)
+    def solve(
+        self,
+        problem: SchedulingProblem,
+        *,
+        heft_schedule: Schedule | None = None,
+    ) -> RobustResult:
+        """Run the full pipeline on *problem*.
+
+        ``heft_schedule`` is *problem*'s HEFT schedule when the caller
+        already has it (a grid solving one instance for several ε); HEFT
+        then does not run again.
+        """
+        if heft_schedule is None:
+            heft_schedule = HeftScheduler().schedule(problem)
+        elif heft_schedule.problem is not problem:
+            raise ValueError("heft_schedule must schedule the problem being solved")
         m_heft = expected_makespan(heft_schedule)
         fitness = EpsilonConstraintFitness(self.epsilon, m_heft)
         engine = GeneticScheduler(

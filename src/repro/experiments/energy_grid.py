@@ -181,7 +181,7 @@ def _instance_cells(
             if strategy == "robust-ga":
                 schedule = RobustScheduler(
                     epsilon=eps, params=params, rng=ga_rng
-                ).solve(problem).schedule
+                ).solve(problem, heft_schedule=heft_schedule).schedule
                 outcomes.append(_cell(strategy, eps, schedule, 0.0, si, ki))
             else:  # energy-ga
                 schedule = EnergyScheduler(

@@ -86,7 +86,7 @@ def _instance_cells(
         params = ga_params if ga_params is not None else config.ga_params()
         schedules["robust-ga"] = RobustScheduler(
             epsilon=epsilon, params=params, rng=ga_rng
-        ).solve(problem).schedule
+        ).solve(problem, heft_schedule=schedules["heft"]).schedule
     # The online baseline only needs the problem; hand it any schedule.
     schedules["online"] = schedules["heft"]
 

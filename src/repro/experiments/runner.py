@@ -83,7 +83,8 @@ def _instance_outcomes(
 ) -> list[InstanceOutcome]:
     """All ε-cells for one (UL, instance) pair.
 
-    Per instance, HEFT is scheduled once and its Monte-Carlo report reused
+    Per instance, HEFT is scheduled once, and its schedule (the GA seed and
+    ``M_HEFT`` of every ε-cell's solve) and Monte-Carlo report are reused
     across all ε cells, with all random streams derived deterministically
     from the config seed — results are identical whether instances run
     serially or in worker processes.
@@ -109,7 +110,7 @@ def _instance_outcomes(
         )
         result = RobustScheduler(
             epsilon=eps, params=config.ga_params(), rng=ga_rng
-        ).solve(problem)
+        ).solve(problem, heft_schedule=heft_schedule)
         mc_rng = np.random.default_rng(
             np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(5, index, mc_key, j)

@@ -111,7 +111,7 @@ def run_sensitivity(
                 rng=np.random.default_rng(
                     np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9, i))
                 ),
-            ).solve(problem)
+            ).solve(problem, heft_schedule=heft)
             ga_rep = assess_robustness(
                 ga.schedule,
                 n_real,

@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.problem import SchedulingProblem
 from repro.core.robust import RobustScheduler
 from repro.ga.engine import GAParams
+from repro.heuristics.heft import HeftScheduler
 from repro.moop.pareto import pareto_front_mask
 from repro.schedule.schedule import Schedule
 from repro.utils.rng import as_generator
@@ -73,6 +74,7 @@ def epsilon_front(
         raise ValueError("epsilons must be non-empty")
     gen = as_generator(rng)
     streams = gen.spawn(len(epsilons))
+    heft_schedule = HeftScheduler().schedule(problem)
 
     eps_list: list[float] = []
     schedules: list[Schedule] = []
@@ -81,7 +83,7 @@ def epsilon_front(
     m_heft = None
     for eps, stream in zip(epsilons, streams):
         result = RobustScheduler(epsilon=float(eps), params=params, rng=stream).solve(
-            problem
+            problem, heft_schedule=heft_schedule
         )
         m_heft = result.m_heft
         eps_list.append(float(eps))

@@ -53,6 +53,26 @@ class TestEpsilonConstraintPipeline:
         fitness = result.ga_result.history.best_fitness
         assert all(b >= a - 1e-12 for a, b in zip(fitness, fitness[1:]))
 
+    def test_callers_heft_schedule_gives_the_same_solve(self, solved):
+        problem, result = solved
+        again = repro.RobustScheduler(epsilon=1.0, params=GA, rng=1).solve(
+            problem, heft_schedule=result.heft_schedule
+        )
+        assert again.heft_schedule is result.heft_schedule
+        assert again.m_heft == result.m_heft
+        assert np.array_equal(again.schedule.proc_of, result.schedule.proc_of)
+        assert again.ga_result.history.best_fitness == (
+            result.ga_result.history.best_fitness
+        )
+
+    def test_heft_schedule_of_another_problem_is_rejected(self, solved):
+        problem, _ = solved
+        other = repro.HeftScheduler().schedule(_problem(12))
+        with pytest.raises(ValueError, match="problem being solved"):
+            repro.RobustScheduler(epsilon=1.0, params=GA, rng=1).solve(
+                problem, heft_schedule=other
+            )
+
 
 class TestEpsilonSweepMonotonicity:
     def test_slack_grows_with_epsilon(self):
