@@ -4,10 +4,12 @@
 Runs the five kernels of ``benchmarks/test_perf_kernels.py`` — schedule
 construction, static evaluation, 1000-realization batch makespans, HEFT on a
 100-task instance, and one full GA run — plus ``ga_generation_pop``, the
-marginal cost of a single GA generation through the population kernel
-(selection + in-place variation of the population arrays + one
-:class:`repro.ga.popeval.PopulationEvaluator` call on pre-initialised
-engine state).  ``ga_generation`` keeps its
+marginal cost of a single GA generation through the population kernel:
+the engine's selection-and-variation step (``GeneticScheduler._vary``,
+one native call with the native library loaded, else
+``binary_tournament`` + ``_next_generation``), one
+:class:`repro.ga.popeval.PopulationEvaluator` call and scoring, on
+pre-initialised engine state.  ``ga_generation`` keeps its
 historical definition (a full 1-iteration run, dominated by the fixed
 population-initialisation cost) so it stays comparable across the recorded
 baselines; ``ga_generation_pop`` is what the evolution loop actually pays
@@ -47,7 +49,6 @@ from repro.core.problem import SchedulingProblem
 from repro.ga.engine import GAParams, GeneticScheduler
 from repro.ga.fitness import SlackFitness
 from repro.ga.popeval import PopulationEvaluator
-from repro.ga.selection import binary_tournament
 from repro.graph.generator import DagParams
 from repro.heuristics.heft import HeftScheduler
 from repro.platform.uncertainty import UncertaintyParams
@@ -102,14 +103,14 @@ def build_kernels() -> dict:
     child_procs = np.empty_like(base_procs)
 
     def one_generation() -> None:
-        # Marginal cost of one evolution step: selection, variation, one
-        # population-kernel evaluation of the children, and scoring.  A
-        # fresh rng per call keeps every round identical; a fresh cache
-        # makes each child a true miss so the evaluation actually runs.
+        # Marginal cost of one evolution step: the engine's selection and
+        # variation step, one population-kernel evaluation of the children,
+        # and scoring.  A fresh rng per call keeps every round identical; a
+        # fresh cache makes each child a true miss so the evaluation
+        # actually runs.
         engine = GeneticScheduler(SlackFitness(), ga_params, rng=3)
-        selected = binary_tournament(base_scores, engine._rng)
-        engine._next_generation(
-            problem, base_orders, base_procs, selected, child_orders, child_procs
+        engine._vary(
+            evaluator, base_scores, base_orders, base_procs, child_orders, child_procs
         )
         individuals, _ = engine._evaluate_batch(
             evaluator, child_orders, child_procs, {}
