@@ -9,6 +9,7 @@ from repro.core.problem import SchedulingProblem
 from repro.graph.taskgraph import TaskGraph
 from repro.graph.topology import random_topological_order
 from repro.platform.platform import Platform
+from repro.platform.trgen import generate_transfer_rates
 from repro.platform.uncertainty import UncertaintyModel
 from repro.schedule.schedule import Schedule
 
@@ -36,16 +37,23 @@ def task_graphs(draw, min_n: int = 1, max_n: int = 10) -> TaskGraph:
 
 @st.composite
 def problems(draw, min_n: int = 1, max_n: int = 10, max_m: int = 3) -> SchedulingProblem:
-    """Scheduling problems over arbitrary DAGs with random times and ULs."""
+    """Scheduling problems over arbitrary DAGs with random times and ULs.
+
+    Transfer rates are unit or gamma-distributed: non-unit rates make the
+    communication costs inexact products, which is where a fused
+    multiply-add in a kernel would part from the numpy reference.
+    """
     graph = draw(task_graphs(min_n=min_n, max_n=max_n))
     m = draw(st.integers(1, max_m))
     seed = draw(st.integers(0, 2**31 - 1))
+    rate_seed = draw(st.none() | st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     bcet = rng.uniform(0.5, 20.0, size=(graph.n, m))
     ul = rng.uniform(1.0, 5.0, size=(graph.n, m))
+    rates = None if rate_seed is None else generate_transfer_rates(m, rng=rate_seed)
     return SchedulingProblem(
         graph=graph,
-        platform=Platform(m),
+        platform=Platform(m, rates),
         uncertainty=UncertaintyModel(bcet, ul),
         name="hypothesis",
     )
