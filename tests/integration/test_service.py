@@ -26,7 +26,6 @@ from repro.service import SchedulerService, ServiceClient, ServiceConfig
 
 N_REAL = 100
 GA_SMALL = {"max_iterations": 10, "stagnation_limit": 5}
-GA_SLOW = {"max_iterations": 200, "stagnation_limit": 200}
 
 
 def _problem(seed: int = 7, n: int = 30) -> SchedulingProblem:
@@ -117,7 +116,7 @@ class TestServiceEndToEnd:
             assert cache["hits"] + cache["misses"] == 40
             assert cache["misses"] == status["requests"]["coalesced"] + 1
 
-    def test_ga_overload_sheds_to_degraded_heuristic(self):
+    def test_ga_overload_sheds_to_degraded_heuristic(self, ga_gate):
         problem = _problem(n=30)
         n_requests = 12
         with ServiceHarness(workers=1, ga_queue_limit=2) as harness:
@@ -130,11 +129,18 @@ class TestServiceEndToEnd:
                         epsilon=1.3,
                         seed=seed,
                         n_realizations=N_REAL,
-                        ga=GA_SLOW,
+                        ga=GA_SMALL,
                     )
 
             with ThreadPoolExecutor(max_workers=n_requests) as pool:
-                responses = list(pool.map(one_ga, range(n_requests)))
+                # The admitted solves stay in flight until every shed
+                # request has been answered.
+                with ga_gate.holding():
+                    futures = [pool.submit(one_ga, s) for s in range(n_requests)]
+                    ga_gate.wait_for(
+                        lambda: sum(f.done() for f in futures) >= n_requests - 3
+                    )
+                responses = [f.result() for f in futures]
 
             # Overload degrades, never errors: every response is a schedule.
             assert all(r["ok"] for r in responses)
@@ -210,44 +216,42 @@ class TestServiceEndToEnd:
         assert serial["schedule"] == pooled["schedule"]
         assert serial["report"] == pooled["report"]
 
-    def test_deadline_aware_shedding(self):
+    def test_deadline_aware_shedding(self, ga_gate):
         problem = _problem(seed=11, n=30)
         with ServiceHarness(workers=1, ga_queue_limit=8) as harness:
             with harness.client() as client:
                 # Prime the service-time estimator with one completed solve.
                 client.solve(
                     problem, solver="ga", epsilon=1.2, seed=1,
-                    n_realizations=N_REAL, ga=GA_SLOW,
+                    n_realizations=N_REAL, ga=GA_SMALL,
                 )
 
                 def occupy(seed: int) -> dict:
                     with harness.client() as c2:
                         return c2.solve(
                             problem, solver="ga", epsilon=1.2, seed=seed,
-                            n_realizations=N_REAL, ga=GA_SLOW,
+                            n_realizations=N_REAL, ga=GA_SMALL,
                         )
 
                 with ThreadPoolExecutor(max_workers=2) as pool:
-                    busy = [pool.submit(occupy, s) for s in (2, 3)]
-                    # Wait until the slot and the queue are occupied.
-                    deadline = __import__("time").monotonic() + 10
-                    while (
-                        harness.service._ga_inflight < 2
-                        and __import__("time").monotonic() < deadline
-                    ):
-                        __import__("time").sleep(0.01)
-                    impatient = client.solve(
-                        problem, solver="ga", epsilon=1.2, seed=4,
-                        n_realizations=N_REAL, ga=GA_SLOW,
-                        deadline_s=1e-6,
-                    )
+                    with ga_gate.holding():
+                        busy = [pool.submit(occupy, s) for s in (2, 3)]
+                        # Wait until the slot and the queue are occupied.
+                        ga_gate.wait_for(
+                            lambda: harness.service._ga_inflight >= 2
+                        )
+                        impatient = client.solve(
+                            problem, solver="ga", epsilon=1.2, seed=4,
+                            n_realizations=N_REAL, ga=GA_SMALL,
+                            deadline_s=1e-6,
+                        )
                     for f in busy:
                         assert f.result()["ok"]
             assert impatient["ok"]
             assert impatient["degraded"]
             assert "deadline" in impatient["degraded_reason"]
 
-    def test_stream_admission_sheds_without_enqueueing(self):
+    def test_stream_admission_sheds_without_enqueueing(self, ga_gate):
         """Stream mode: a shed request is served inline, never queued.
 
         Mirrors the deadline test under ``admission_mode="stream"`` —
@@ -263,31 +267,29 @@ class TestServiceEndToEnd:
             with harness.client() as client:
                 client.solve(
                     problem, solver="ga", epsilon=1.2, seed=1,
-                    n_realizations=N_REAL, ga=GA_SLOW,
+                    n_realizations=N_REAL, ga=GA_SMALL,
                 )
 
                 def occupy(seed: int) -> dict:
                     with harness.client() as c2:
                         return c2.solve(
                             problem, solver="ga", epsilon=1.2, seed=seed,
-                            n_realizations=N_REAL, ga=GA_SLOW,
+                            n_realizations=N_REAL, ga=GA_SMALL,
                         )
 
                 with ThreadPoolExecutor(max_workers=2) as pool:
-                    busy = [pool.submit(occupy, s) for s in (2, 3)]
-                    deadline = __import__("time").monotonic() + 10
-                    while (
-                        harness.service._ga_inflight < 2
-                        and __import__("time").monotonic() < deadline
-                    ):
-                        __import__("time").sleep(0.01)
-                    before = client.status()["admission"]
-                    impatient = client.solve(
-                        problem, solver="ga", epsilon=1.2, seed=4,
-                        n_realizations=N_REAL, ga=GA_SLOW,
-                        deadline_s=1e-6,
-                    )
-                    after = client.status()["admission"]
+                    with ga_gate.holding():
+                        busy = [pool.submit(occupy, s) for s in (2, 3)]
+                        ga_gate.wait_for(
+                            lambda: harness.service._ga_inflight >= 2
+                        )
+                        before = client.status()["admission"]
+                        impatient = client.solve(
+                            problem, solver="ga", epsilon=1.2, seed=4,
+                            n_realizations=N_REAL, ga=GA_SMALL,
+                            deadline_s=1e-6,
+                        )
+                        after = client.status()["admission"]
                     for f in busy:
                         assert f.result()["ok"]
                 status = client.status()
@@ -476,7 +478,7 @@ class TestServiceEdges:
                 )
                 assert response["ok"]
 
-    def test_timed_out_client_fails_fast_instead_of_desyncing(self):
+    def test_timed_out_client_fails_fast_instead_of_desyncing(self, ga_gate):
         # Regression: after a socket timeout the late response stayed in
         # the stream and was read as the answer to the *next* request.
         # The client must mark the connection broken and refuse reuse.
@@ -485,22 +487,24 @@ class TestServiceEdges:
             client = ServiceClient(
                 "127.0.0.1", harness.port, timeout=0.05, retry_s=5.0
             )
-            try:
-                with pytest.raises(OSError):  # socket.timeout is OSError
-                    client.solve(
-                        problem,
-                        solver="ga",
-                        epsilon=1.2,
-                        seed=3,
-                        ga=GA_SLOW,
-                        n_realizations=N_REAL,
-                    )
-                with pytest.raises(ConnectionError, match="broken"):
-                    client.ping()
-                with pytest.raises(ConnectionError, match="broken"):
-                    client.status()
-            finally:
-                client.close()  # must not raise
+            # The solve is held past the client's timeout.
+            with ga_gate.holding():
+                try:
+                    with pytest.raises(OSError):  # socket.timeout is OSError
+                        client.solve(
+                            problem,
+                            solver="ga",
+                            epsilon=1.2,
+                            seed=3,
+                            ga=GA_SMALL,
+                            n_realizations=N_REAL,
+                        )
+                    with pytest.raises(ConnectionError, match="broken"):
+                        client.ping()
+                    with pytest.raises(ConnectionError, match="broken"):
+                        client.status()
+                finally:
+                    client.close()  # must not raise
             # close() stays idempotent and exception-safe.
             client.close()
 

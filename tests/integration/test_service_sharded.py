@@ -32,7 +32,6 @@ from repro.service.sharding import HashRing
 
 N_REAL = 100
 GA_SMALL = {"max_iterations": 10, "stagnation_limit": 5}
-GA_SLOW = {"max_iterations": 300, "stagnation_limit": 300}
 
 #: Fields legitimately differing between two runs of the same request.
 VOLATILE = {"elapsed_s"}
@@ -238,7 +237,7 @@ class TestRouting:
         }
         assert observed == expected
 
-    def test_deep_ga_backlog_is_stolen(self):
+    def test_deep_ga_backlog_is_stolen(self, ga_gate):
         node_ids = [f"shard-{i}" for i in range(2)]
         ring = HashRing(node_ids)
         # Problems all homed on one shard: without stealing they would
@@ -261,13 +260,20 @@ class TestRouting:
                         solver="ga",
                         epsilon=1.2,
                         seed=3,
-                        ga=GA_SLOW,
+                        ga=GA_SMALL,
                         n_realizations=50,
                         warm_start=False,
                     )
 
+            shards = harness.coordinator._shards.values()
             with ThreadPoolExecutor(3) as pool:
-                results = list(pool.map(solve, problems))
+                # Every solve stays in flight until all three are routed.
+                with ga_gate.holding():
+                    futures = [pool.submit(solve, p) for p in problems]
+                    ga_gate.wait_for(
+                        lambda: sum(h.ga_inflight for h in shards) >= 3
+                    )
+                results = [f.result() for f in futures]
             with harness.client() as client:
                 status = client.status()
         assert all(r["ok"] and not r["degraded"] for r in results)
@@ -279,7 +285,7 @@ class TestRouting:
 
 
 class TestChaos:
-    def test_kill_one_shard_zero_failed_requests(self):
+    def test_kill_one_shard_zero_failed_requests(self, ga_gate):
         problems = [_problem(seed=s, n=25) for s in range(8)]
         cache_probe = dict(
             solver="ga",
@@ -305,15 +311,21 @@ class TestChaos:
                             solver="ga",
                             epsilon=1.2,
                             seed=7,
-                            ga=GA_SLOW,
+                            ga=GA_SMALL,
                             n_realizations=N_REAL,
                             request_id=f"chaos-{i}",
                         )
 
+                shards = harness.coordinator._shards.values()
                 with ThreadPoolExecutor(8) as pool:
-                    futures = [pool.submit(solve, i) for i in range(8)]
-                    time.sleep(0.3)  # let dispatches reach the shards
-                    os.kill(victim["pid"], signal.SIGKILL)
+                    # The shards were forked with the gate installed, so
+                    # every solve is still in flight when the victim dies.
+                    with ga_gate.holding():
+                        futures = [pool.submit(solve, i) for i in range(8)]
+                        ga_gate.wait_for(
+                            lambda: sum(h.ga_inflight for h in shards) >= 8
+                        )
+                        os.kill(victim["pid"], signal.SIGKILL)
                     results = [f.result(timeout=180) for f in futures]
 
                 # The headline guarantee: every client request succeeds.
