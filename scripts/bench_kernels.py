@@ -3,17 +3,10 @@
 
 Runs the five kernels of ``benchmarks/test_perf_kernels.py`` — schedule
 construction, static evaluation, 1000-realization batch makespans, HEFT on a
-100-task instance, and one full GA run — plus ``ga_generation_pop``, the
-marginal cost of a single GA generation through the population kernel:
-the engine's selection-and-variation step (``GeneticScheduler._vary``,
-one native call with the native library loaded, else
-``binary_tournament`` + ``_next_generation``), one
-:class:`repro.ga.popeval.PopulationEvaluator` call and scoring, on
-pre-initialised engine state.  ``ga_generation`` keeps its
+100-task instance, and one full GA run.  ``ga_generation`` keeps its
 historical definition (a full 1-iteration run, dominated by the fixed
 population-initialisation cost) so it stays comparable across the recorded
-baselines; ``ga_generation_pop`` is what the evolution loop actually pays
-per generation after startup.
+baselines.
 
 Medians go to ``BENCH_kernels.json`` at the repository root.  The file
 establishes the performance trajectory across PRs: run the script before
@@ -42,13 +35,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 from bench_util import bench_meta
 
 from repro.core.problem import SchedulingProblem
 from repro.ga.engine import GAParams, GeneticScheduler
 from repro.ga.fitness import SlackFitness
-from repro.ga.popeval import PopulationEvaluator
 from repro.graph.generator import DagParams
 from repro.heuristics.heft import HeftScheduler
 from repro.platform.uncertainty import UncertaintyParams
@@ -87,36 +78,6 @@ def build_kernels() -> dict:
     durations = schedule.realize_durations(1000, rng=1)
     ga_params = GAParams(max_iterations=1, stagnation_limit=100)
 
-    # Pre-initialised state for the marginal-generation kernel: the
-    # population arrays, their scores and the bound evaluator are built
-    # once, outside the timed region.
-    setup_engine = GeneticScheduler(SlackFitness(), ga_params, rng=2)
-    base_population = setup_engine._initial_population(problem)
-    base_orders = np.stack([c.order for c in base_population])
-    base_procs = np.stack([c.proc_of for c in base_population])
-    evaluator = PopulationEvaluator(problem)
-    base_individuals, _ = setup_engine._evaluate_batch(
-        evaluator, base_orders, base_procs, {}
-    )
-    base_scores = setup_engine.fitness.scores(base_individuals)
-    child_orders = np.empty_like(base_orders)
-    child_procs = np.empty_like(base_procs)
-
-    def one_generation() -> None:
-        # Marginal cost of one evolution step: the engine's selection and
-        # variation step, one population-kernel evaluation of the children,
-        # and scoring.  A fresh rng per call keeps every round identical; a
-        # fresh cache makes each child a true miss so the evaluation
-        # actually runs.
-        engine = GeneticScheduler(SlackFitness(), ga_params, rng=3)
-        engine._vary(
-            evaluator, base_scores, base_orders, base_procs, child_orders, child_procs
-        )
-        individuals, _ = engine._evaluate_batch(
-            evaluator, child_orders, child_procs, {}
-        )
-        engine.fitness.scores(individuals)
-
     return {
         "schedule_construction": lambda: Schedule(problem, orders),
         "static_evaluation": lambda: evaluate(schedule, expected),
@@ -125,7 +86,6 @@ def build_kernels() -> dict:
         "ga_generation": lambda: GeneticScheduler(
             SlackFitness(), ga_params, rng=2
         ).run(problem),
-        "ga_generation_pop": one_generation,
     }
 
 
