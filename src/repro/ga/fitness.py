@@ -215,15 +215,20 @@ class EpsilonConstraintFitness:
         """The makespan ceiling ``epsilon * M_HEFT``."""
         return self.epsilon * self.m_heft
 
+    @property
+    def limit(self) -> float:
+        """The feasibility threshold: ``bound`` with a relative tolerance."""
+        return self.bound * (1.0 + 1e-12)
+
     def is_feasible(self, makespan: float) -> bool:
         """Constraint check with a relative tolerance on the boundary."""
-        return makespan <= self.bound * (1.0 + 1e-12)
+        return makespan <= self.limit
 
     def scores(self, population: Sequence[Individual]) -> np.ndarray:
         """Eqn. 8 over the whole population."""
         makespans = np.asarray([ind.makespan for ind in population], dtype=np.float64)
         out = np.asarray([ind.avg_slack for ind in population], dtype=np.float64)
-        feasible = makespans <= self.bound * (1.0 + 1e-12)
+        feasible = makespans <= self.limit
         if feasible.all():
             return out
 
