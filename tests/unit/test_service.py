@@ -456,6 +456,16 @@ class TestExecutePayload:
         assert result["m_heft"] == direct.m_heft
         assert result["ga_generations"] == direct.ga_result.generations
 
+    def test_ga_with_a_huge_iteration_cap_answers(self, small_random_problem):
+        """The wire accepts any positive ``ga.max_iterations``; a run
+        that stops on stagnation allocates nothing for its cap."""
+        ga = {"max_iterations": 10**11, "stagnation_limit": 5}
+        request = _solve_request(
+            small_random_problem, solver="ga", seed=4, epsilon=1.3, ga=ga
+        )
+        result = execute_payload(request)
+        assert 5 <= result["ga_generations"] < 10**11
+
     def test_result_is_json_and_reproducible(self, small_random_problem):
         request = _solve_request(small_random_problem, seed=2)
         a = execute_payload(request)
