@@ -29,14 +29,13 @@ same RNG stream, bit-identical schedules (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
 from repro.energy.power import EnergyBreakdown, PowerModel
 from repro.ga.engine import GAParams, GAResult, GeneticScheduler
-from repro.ga.fitness import EpsilonConstraintFitness, Individual
+from repro.ga.fitness import EpsilonConstraintFitness, Population
 from repro.heuristics.heft import HeftScheduler
 from repro.obs import runtime as obs
 from repro.schedule.evaluation import evaluate, expected_makespan
@@ -123,18 +122,17 @@ class EnergyConstraintFitness:
         """Makespan-budget check (the engine's feasibility telemetry)."""
         return makespan <= self.bound * (1.0 + _TOL)
 
-    def scores(self, population: Sequence[Individual]) -> np.ndarray:
+    def scores(self, population: Population) -> np.ndarray:
         """Eqn.-8-style population scores with energy as the objective."""
-        makespans = np.asarray([ind.makespan for ind in population], dtype=np.float64)
-        proc_of = np.stack([ind.chromosome.proc_of for ind in population])
-        energies = self.power.population_energies(self.problem, proc_of, makespans)
+        makespans = population.makespans
+        energies = self.power.population_energies(
+            self.problem, population.procs, makespans
+        )
 
         feasible = makespans <= self.bound * (1.0 + _TOL)
         ratio = np.minimum(1.0, self.bound / makespans)
         if self.min_slack > 0.0:
-            slacks = np.asarray(
-                [ind.avg_slack for ind in population], dtype=np.float64
-            )
+            slacks = population.avg_slacks
             feasible &= slacks >= self.min_slack * (1.0 - _TOL)
             ratio = ratio * np.minimum(
                 1.0, np.maximum(slacks, 0.0) / self.min_slack

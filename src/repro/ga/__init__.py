@@ -5,9 +5,10 @@
 * :mod:`~repro.ga.crossover` / :mod:`~repro.ga.mutation` /
   :mod:`~repro.ga.selection` — the paper's precedence-preserving operators
   (Secs. 4.2.4–4.2.6).
-* :mod:`~repro.ga.fitness` — pluggable fitness policies: pure makespan
-  (Fig. 2), pure slack (Fig. 3), and the ε-constraint penalty fitness of
-  Eqn. 8 (Figs. 4–8), plus the quantile-fed extension.
+* :mod:`~repro.ga.fitness` — pluggable fitness policies scoring a
+  :class:`~repro.ga.fitness.Population` view: pure makespan (Fig. 2),
+  pure slack (Fig. 3), and the ε-constraint penalty fitness of Eqn. 8
+  (Figs. 4–8), plus the quantile-fed extension.
 * :class:`~repro.ga.engine.GeneticScheduler` — the evolution loop with
   HEFT seeding, binary tournament, elitism and the paper's stopping rule.
 """
@@ -22,6 +23,7 @@ from repro.ga.fitness import (
     FitnessPolicy,
     Individual,
     MakespanFitness,
+    Population,
     SlackFitness,
 )
 from repro.ga.mutation import legal_window, mutate
@@ -42,6 +44,7 @@ __all__ = [
     "legal_window",
     "binary_tournament",
     "FitnessPolicy",
+    "Population",
     "Individual",
     "MakespanFitness",
     "SlackFitness",

@@ -16,12 +16,11 @@ future-work question about exploiting stochastic information.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
-from repro.ga.fitness import Individual
+from repro.ga.chromosome import Chromosome
+from repro.ga.fitness import Population
 from repro.robustness.clark import clark_makespan
 
 __all__ = ["AnalyticRobustnessFitness"]
@@ -75,23 +74,24 @@ class AnalyticRobustnessFitness:
         """The makespan ceiling ``epsilon * M_HEFT``."""
         return self.epsilon * self.m_heft
 
-    def _tardiness(self, ind: Individual) -> float:
-        key = ind.chromosome.key()
+    def _tardiness(self, population: Population, i: int, makespan: float) -> float:
+        order, proc_of = population.orders[i], population.procs[i]
+        key = order.tobytes() + proc_of.tobytes()  # Chromosome.key()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        est = clark_makespan(ind.schedule)
-        value = est.mean_relative_tardiness(ind.makespan)
+        schedule = Chromosome(order.copy(), proc_of.copy()).decode(population.problem)
+        value = clark_makespan(schedule).mean_relative_tardiness(makespan)
         self._cache[key] = value
         return value
 
-    def scores(self, population: Sequence[Individual]) -> np.ndarray:
+    def scores(self, population: Population) -> np.ndarray:
         """Negated analytic tardiness for feasible, penalty otherwise."""
         out = np.empty(len(population), dtype=np.float64)
         bound = self.bound * (1.0 + 1e-12)
-        for i, ind in enumerate(population):
-            if ind.makespan <= bound:
-                out[i] = -self._tardiness(ind)
+        for i, makespan in enumerate(population.makespans.tolist()):
+            if makespan <= bound:
+                out[i] = -self._tardiness(population, i, makespan)
             else:
-                out[i] = -_INFEASIBLE_OFFSET + self.bound / ind.makespan
+                out[i] = -_INFEASIBLE_OFFSET + self.bound / makespan
         return out

@@ -1,7 +1,8 @@
 """Fitness policies (paper Sec. 4.2.3).
 
 A policy maps the whole population's static metrics to fitness scores
-(larger = fitter).  Policies receive the *population*, not individuals,
+(larger = fitter).  Policies receive the *population* — a
+:class:`Population` view of the GA engine's arrays — not individuals,
 because the ε-constraint fitness of Eqn. 8 is population-based: an
 infeasible chromosome's fitness is the minimum fitness among the current
 feasible chromosomes, scaled down by its constraint-violation ratio.
@@ -25,7 +26,8 @@ model).
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from repro.ga.chromosome import Chromosome
 from repro.schedule.schedule import Schedule
 
 __all__ = [
+    "Population",
     "Individual",
     "FitnessPolicy",
     "MakespanFitness",
@@ -43,32 +46,39 @@ __all__ = [
 ]
 
 
-class Individual:
-    """A chromosome with its static metrics; chromosome and schedule on demand.
+@dataclass(eq=False, slots=True)
+class Population:
+    """What a fitness policy scores: ``(P, n)`` scheduling strings and
+    processor maps with their ``(P,)`` static metrics under the engine's
+    duration view, and the problem; ``len()`` is ``P``.  Row *i*'s
+    :meth:`Chromosome.key` is ``orders[i].tobytes() + procs[i].tobytes()``.
 
-    ``makespan`` and ``avg_slack`` are computed under the engine's duration
-    view (expected durations by default; a quantile view in the extension).
-    Two fields may be deferred:
-
-    * ``chromosome``: the GA engine keeps its population in arrays, so an
-      individual it evaluates holds its own copy of its two rows
-      (:meth:`from_rows`) and builds the :class:`Chromosome` only when a
-      caller reads it — the incumbent, the returned best, and policies
-      that inspect chromosomes;
-    * ``schedule``: the population kernel (:mod:`repro.ga.popeval`)
-      computes metrics without materialising schedules, so individuals it
-      produces carry ``schedule=None`` plus a ``problem``; the decode runs
-      on first access (only the returned best typically needs it).
+    The GA engine passes views of its own buffers, which it overwrites
+    every generation: a policy keeps none of them and returns a new array.
     """
 
-    __slots__ = (
-        "_chromosome",
-        "_rows",
-        "_schedule",
-        "makespan",
-        "avg_slack",
-        "_problem",
-    )
+    problem: SchedulingProblem
+    orders: np.ndarray
+    procs: np.ndarray
+    makespans: np.ndarray
+    avg_slacks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.makespans)
+
+
+class Individual:
+    """A chromosome with its static metrics; the schedule on demand.
+
+    ``makespan`` and ``avg_slack`` are computed under the engine's duration
+    view.  ``schedule`` may be deferred: the population kernel
+    (:mod:`repro.ga.popeval`) computes metrics without materialising
+    schedules, so an individual built from its results carries
+    ``schedule=None`` plus a ``problem``, and the decode runs on first
+    access (only the returned best typically needs it).
+    """
+
+    __slots__ = ("chromosome", "_schedule", "makespan", "avg_slack", "_problem")
 
     def __init__(
         self,
@@ -79,43 +89,11 @@ class Individual:
         *,
         problem: SchedulingProblem | None = None,
     ) -> None:
-        self._chromosome = chromosome
-        self._rows = None
+        self.chromosome = chromosome
         self._schedule = schedule
         self.makespan = float(makespan)
         self.avg_slack = None if avg_slack is None else float(avg_slack)
         self._problem = problem
-
-    @classmethod
-    def from_rows(
-        cls,
-        order: np.ndarray,
-        proc_of: np.ndarray,
-        makespan: float,
-        avg_slack: float,
-        problem: SchedulingProblem,
-    ) -> "Individual":
-        """An individual over rows it owns; no other array may alias them.
-
-        The GA engine's constructor: *makespan* and *avg_slack* are already
-        Python floats (``ndarray.tolist``), so nothing is converted.
-        """
-        ind = cls.__new__(cls)
-        ind._chromosome = None
-        ind._rows = (order, proc_of)
-        ind._schedule = None
-        ind.makespan = makespan
-        ind.avg_slack = avg_slack
-        ind._problem = problem
-        return ind
-
-    @property
-    def chromosome(self) -> Chromosome | None:
-        """The chromosome; built from the owned rows on first read."""
-        if self._chromosome is None and self._rows is not None:
-            self._chromosome = Chromosome(*self._rows)
-            self._rows = None
-        return self._chromosome
 
     @property
     def schedule(self) -> Schedule:
@@ -138,8 +116,8 @@ class FitnessPolicy(Protocol):
 
     name: str
 
-    def scores(self, population: Sequence[Individual]) -> np.ndarray:
-        """Fitness of every individual in *population*."""
+    def scores(self, population: Population) -> np.ndarray:
+        """A new ``(P,)`` array: the fitness of every row of *population*."""
         ...  # pragma: no cover - protocol
 
 
@@ -148,9 +126,12 @@ class MakespanFitness:
 
     name = "makespan"
 
-    def scores(self, population: Sequence[Individual]) -> np.ndarray:
-        """``1 / M_0`` per individual."""
-        return np.asarray([1.0 / ind.makespan for ind in population], dtype=np.float64)
+    def scores(self, population: Population) -> np.ndarray:
+        """``1 / M_0`` per row; a zero makespan raises, as ``1.0 / 0.0`` does."""
+        makespans = population.makespans
+        if not makespans.all():
+            raise ZeroDivisionError("float division by zero")
+        return 1.0 / makespans
 
 
 class SlackFitness:
@@ -158,9 +139,9 @@ class SlackFitness:
 
     name = "slack"
 
-    def scores(self, population: Sequence[Individual]) -> np.ndarray:
-        """``σ̄`` per individual."""
-        return np.asarray([ind.avg_slack for ind in population], dtype=np.float64)
+    def scores(self, population: Population) -> np.ndarray:
+        """``σ̄`` per row."""
+        return population.avg_slacks.copy()
 
 
 class EpsilonConstraintFitness:
@@ -224,10 +205,10 @@ class EpsilonConstraintFitness:
         """Constraint check with a relative tolerance on the boundary."""
         return makespan <= self.limit
 
-    def scores(self, population: Sequence[Individual]) -> np.ndarray:
+    def scores(self, population: Population) -> np.ndarray:
         """Eqn. 8 over the whole population."""
-        makespans = np.asarray([ind.makespan for ind in population], dtype=np.float64)
-        out = np.asarray([ind.avg_slack for ind in population], dtype=np.float64)
+        makespans = population.makespans
+        out = population.avg_slacks.copy()
         feasible = makespans <= self.limit
         if feasible.all():
             return out

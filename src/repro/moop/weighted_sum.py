@@ -18,12 +18,10 @@ trade-off the paper's choice avoids.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
-from repro.ga.fitness import Individual
+from repro.ga.fitness import Population
 
 __all__ = ["WeightedSumFitness"]
 
@@ -65,10 +63,8 @@ class WeightedSumFitness:
         ev = evaluate(HeftScheduler().schedule(problem))
         return cls(weight, ev.makespan, ev.avg_slack)
 
-    def scores(self, population: Sequence[Individual]) -> np.ndarray:
-        """Per-individual weighted sum (larger = fitter)."""
-        makespans = np.asarray([ind.makespan for ind in population], dtype=np.float64)
-        slacks = np.asarray([ind.avg_slack for ind in population], dtype=np.float64)
-        return self.weight * (self.m_ref / makespans) + (1.0 - self.weight) * (
-            slacks / self.slack_ref
-        )
+    def scores(self, population: Population) -> np.ndarray:
+        """Per-row weighted sum (larger = fitter)."""
+        return self.weight * (self.m_ref / population.makespans) + (
+            1.0 - self.weight
+        ) * (population.avg_slacks / self.slack_ref)

@@ -13,7 +13,6 @@ arbitrary DAG shapes, including:
 * ``+inf`` durations (infeasible placements): ``inf`` makespans and
   the NaN slack entries that ``inf - inf`` produces must agree across
   backends bit-for-bit (``equal_nan``);
-* the ``need_slack=False`` half-work path;
 * the ``REPRO_NATIVE=0`` environment opt-out.
 """
 
@@ -50,7 +49,7 @@ def _reference(problem, chromosomes):
     return makespans, slacks, avg
 
 
-def _fallback(problem, chromosomes, dur=None, need_slack=True):
+def _fallback(problem, chromosomes, dur=None):
     """The numpy backend, called directly regardless of native availability."""
     n = problem.n
     orders = np.stack([c.order for c in chromosomes])
@@ -58,8 +57,8 @@ def _fallback(problem, chromosomes, dur=None, need_slack=True):
     if dur is None:
         dur = problem.uncertainty.expected_times
     makespans = np.empty(len(chromosomes), dtype=np.float64)
-    slacks = np.empty((len(chromosomes), n), dtype=np.float64) if need_slack else None
-    _eval_numpy(problem, orders, procs, dur, need_slack, makespans, slacks)
+    slacks = np.empty((len(chromosomes), n), dtype=np.float64)
+    _eval_numpy(problem, orders, procs, dur, makespans, slacks)
     return makespans, slacks
 
 
@@ -114,19 +113,6 @@ def test_backends_agree_on_inf_durations(problem, seed, inf_seed):
     procs = np.stack([c.proc_of for c in chromosomes])
     touches_inf = mask[np.arange(problem.n), procs].any(axis=1)
     assert np.array_equal(np.isinf(pe.makespans), touches_inf)
-
-
-@settings(max_examples=60, deadline=None)
-@given(problem=problems(max_n=10), seed=st.integers(0, 2**31 - 1))
-def test_need_slack_false_skips_backward_pass(problem, seed):
-    """Makespans unchanged; slack genuinely absent, not silently zero."""
-    chromosomes = _population(problem, 6, seed)
-    full = evaluate_population(problem, chromosomes, need_slack=True)
-    half = evaluate_population(problem, chromosomes, need_slack=False)
-    assert np.array_equal(half.makespans, full.makespans)
-    assert half.slack_matrix is None
-    with pytest.raises(AttributeError, match="need_slack"):
-        half.avg_slacks
 
 
 def test_repro_native_opt_out_forces_fallback(monkeypatch):

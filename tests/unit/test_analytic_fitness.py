@@ -6,19 +6,20 @@ import pytest
 from repro.ga.analytic_fitness import AnalyticRobustnessFitness
 from repro.ga.chromosome import heft_chromosome, random_chromosome
 from repro.ga.engine import GAParams, GeneticScheduler
-from repro.ga.fitness import Individual
+from repro.ga.fitness import Population
 from repro.heuristics.heft import HeftScheduler
 from repro.schedule.evaluation import evaluate, expected_makespan
 
 
-def _individual(problem, chromosome) -> Individual:
-    schedule = chromosome.decode(problem)
-    ev = evaluate(schedule)
-    return Individual(
-        chromosome=chromosome,
-        schedule=schedule,
-        makespan=ev.makespan,
-        avg_slack=ev.avg_slack,
+def _population(problem, chromosomes) -> Population:
+    """The chromosomes' rows and static metrics, as the engine passes them."""
+    evs = [evaluate(c.decode(problem)) for c in chromosomes]
+    return Population(
+        problem,
+        np.stack([c.order for c in chromosomes]),
+        np.stack([c.proc_of for c in chromosomes]),
+        np.array([ev.makespan for ev in evs]),
+        np.array([ev.avg_slack for ev in evs]),
     )
 
 
@@ -31,13 +32,15 @@ class TestAnalyticRobustnessFitness:
 
     def test_feasible_scores_are_negated_tardiness(self, small_random_problem):
         fit = AnalyticRobustnessFitness.for_problem(small_random_problem, 2.0)
-        ind = _individual(
-            small_random_problem, heft_chromosome(small_random_problem)
-        )
-        scores = fit.scores([ind])
+        chromosome = heft_chromosome(small_random_problem)
+        pop = _population(small_random_problem, [chromosome])
+        scores = fit.scores(pop)
         from repro.robustness.clark import clark_makespan
 
-        expected = -clark_makespan(ind.schedule).mean_relative_tardiness(ind.makespan)
+        schedule = chromosome.decode(small_random_problem)
+        expected = -clark_makespan(schedule).mean_relative_tardiness(
+            pop.makespans[0]
+        )
         assert scores[0] == pytest.approx(expected)
 
     def test_infeasible_below_feasible(self, small_random_problem):
@@ -46,32 +49,26 @@ class TestAnalyticRobustnessFitness:
         )
         fit = AnalyticRobustnessFitness(1.0, m_heft)
         rng = np.random.default_rng(0)
-        feasible = _individual(
-            small_random_problem, heft_chromosome(small_random_problem)
-        )
+        feasible = heft_chromosome(small_random_problem)
         # Random chromosomes are near-surely infeasible at eps = 1.0.
-        others = [
-            _individual(small_random_problem, random_chromosome(small_random_problem, rng))
-            for _ in range(5)
-        ]
-        scores = fit.scores([feasible, *others])
+        others = [random_chromosome(small_random_problem, rng) for _ in range(5)]
+        pop = _population(small_random_problem, [feasible, *others])
+        scores = fit.scores(pop)
         infeasible = [
-            s for ind, s in zip([feasible, *others], scores)
-            if ind.makespan > fit.bound
+            s for makespan, s in zip(pop.makespans, scores) if makespan > fit.bound
         ]
         for s in infeasible:
             assert s < scores[0]
 
     def test_cache_hit(self, small_random_problem):
         fit = AnalyticRobustnessFitness.for_problem(small_random_problem, 2.0)
-        ind = _individual(
-            small_random_problem, heft_chromosome(small_random_problem)
-        )
-        fit.scores([ind])
-        assert ind.chromosome.key() in fit._cache
+        chromosome = heft_chromosome(small_random_problem)
+        pop = _population(small_random_problem, [chromosome])
+        fit.scores(pop)
+        assert chromosome.key() in fit._cache
         # Second call reuses the cache (same value).
-        again = fit.scores([ind])
-        assert again[0] == fit.scores([ind])[0]
+        again = fit.scores(pop)
+        assert again[0] == fit.scores(pop)[0]
 
     def test_ga_run_respects_constraint(self, small_random_problem):
         m_heft = expected_makespan(

@@ -19,6 +19,7 @@ from repro.energy import (
 from repro.faults import assess_robustness_faulty
 from repro.faults.scenario import FaultScenario
 from repro.ga.engine import GAParams, GeneticScheduler
+from repro.ga.fitness import Population
 from repro.ga.popeval import PopulationEvaluator
 from repro.graph.generator import DagParams
 from repro.heuristics.heft import HeftScheduler
@@ -39,16 +40,13 @@ def _problem(seed=0, n=24, m=4, ul=2.0):
 _PARAMS = GAParams(population_size=10, max_iterations=15, stagnation_limit=8)
 
 
-def _initial_individuals(engine, problem):
+def _initial_population(engine, problem):
     """The engine's initial population, evaluated as a run evaluates it."""
     population = engine._initial_population(problem)
-    individuals, _ = engine._evaluate_batch(
-        PopulationEvaluator(problem),
-        np.stack([c.order for c in population]),
-        np.stack([c.proc_of for c in population]),
-        {},
-    )
-    return individuals
+    orders = np.stack([c.order for c in population])
+    procs = np.stack([c.proc_of for c in population])
+    pe = PopulationEvaluator(problem).evaluate(orders, procs)
+    return Population(problem, orders, procs, pe.makespans, pe.avg_slacks)
 
 
 # --------------------------------------------------------------------------- #
@@ -186,10 +184,10 @@ class TestEnergyObjective:
         power = PowerModel.default(4)
         fitness = EnergyConstraintFitness.for_problem(problem, power, 50.0)
         engine = GeneticScheduler(fitness, _PARAMS, rng=0)
-        individuals = _initial_individuals(engine, problem)
-        scores = fitness.scores(individuals)
-        proc_of = np.stack([i.chromosome.proc_of for i in individuals])
-        makespans = np.asarray([i.makespan for i in individuals])
+        population = _initial_population(engine, problem)
+        scores = fitness.scores(population)
+        proc_of = population.procs
+        makespans = population.makespans
         energies = power.population_energies(problem, proc_of, makespans)
         # eps=50: everything is feasible, so scores are 1/(1+E) exactly.
         assert np.allclose(scores, 1.0 / (1.0 + energies))
@@ -199,10 +197,10 @@ class TestEnergyObjective:
         power = PowerModel.default(4)
         fitness = EnergyConstraintFitness.for_problem(problem, power, 1.0)
         engine = GeneticScheduler(fitness, _PARAMS, rng=0)
-        individuals = _initial_individuals(engine, problem)
-        scores = fitness.scores(individuals)
+        population = _initial_population(engine, problem)
+        scores = fitness.scores(population)
         feasible = np.asarray(
-            [fitness.is_feasible(i.makespan) for i in individuals]
+            [fitness.is_feasible(m) for m in population.makespans]
         )
         if feasible.any() and (~feasible).any():
             assert scores[~feasible].max() < scores[feasible].min()

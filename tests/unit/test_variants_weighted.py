@@ -5,7 +5,7 @@ import pytest
 
 from repro.ga.chromosome import random_chromosome
 from repro.ga.engine import GAParams, GeneticScheduler
-from repro.ga.fitness import Individual, SlackFitness
+from repro.ga.fitness import Population, SlackFitness
 from repro.ga.variants import (
     adjacent_swap_mutation,
     order_only_crossover,
@@ -16,8 +16,10 @@ from repro.graph.taskgraph import TaskGraph
 from repro.moop.weighted_sum import WeightedSumFitness
 
 
-def _ind(makespan: float, slack: float) -> Individual:
-    return Individual(chromosome=None, schedule=None, makespan=makespan, avg_slack=slack)
+def _pop(*rows: tuple[float, float]) -> Population:
+    """Metric-only stub: these policies read only makespans and slacks."""
+    makespans, slacks = np.array(rows, dtype=np.float64).T
+    return Population(None, None, None, makespans, slacks)
 
 
 class TestUniformProcessorCrossover:
@@ -142,22 +144,22 @@ class TestWeightedSumFitness:
 
     def test_pure_makespan_ordering(self):
         fit = WeightedSumFitness(1.0, 100.0, 5.0)
-        scores = fit.scores([_ind(50.0, 0.0), _ind(200.0, 99.0)])
+        scores = fit.scores(_pop((50.0, 0.0), (200.0, 99.0)))
         assert scores[0] > scores[1]
 
     def test_pure_slack_ordering(self):
         fit = WeightedSumFitness(0.0, 100.0, 5.0)
-        scores = fit.scores([_ind(50.0, 1.0), _ind(200.0, 9.0)])
+        scores = fit.scores(_pop((50.0, 1.0), (200.0, 9.0)))
         assert scores[1] > scores[0]
 
     def test_reference_scores_near_one(self):
         fit = WeightedSumFitness(0.5, 100.0, 5.0)
-        scores = fit.scores([_ind(100.0, 5.0)])
+        scores = fit.scores(_pop((100.0, 5.0)))
         assert scores[0] == pytest.approx(1.0)
 
     def test_zero_slack_ref_clamped(self):
         fit = WeightedSumFitness(0.5, 100.0, 0.0)
-        scores = fit.scores([_ind(100.0, 1.0)])
+        scores = fit.scores(_pop((100.0, 1.0)))
         assert np.isfinite(scores[0])
 
     def test_for_problem_factory(self, small_random_problem):
