@@ -21,6 +21,7 @@ from repro.experiments.runner import capped
 from repro.experiments.workloads import make_problem
 from repro.heuristics.heft import HeftScheduler
 from repro.robustness.montecarlo import assess_robustness
+from repro.utils.rng import role_stream
 from repro.utils.tables import format_series
 
 __all__ = ["SensitivityResult", "run_sensitivity"]
@@ -101,23 +102,17 @@ def run_sensitivity(
             heft_rep = assess_robustness(
                 heft,
                 n_real,
-                np.random.default_rng(
-                    np.random.SeedSequence(entropy=cfg.seed, spawn_key=(8, i))
-                ),
+                role_stream(cfg.seed, "sensitivity.heft_mc", i),
             )
             ga = RobustScheduler(
                 epsilon=1.0,
                 params=cfg.ga_params(),
-                rng=np.random.default_rng(
-                    np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9, i))
-                ),
+                rng=role_stream(cfg.seed, "sensitivity.ga", i),
             ).solve(problem, heft_schedule=heft)
             ga_rep = assess_robustness(
                 ga.schedule,
                 n_real,
-                np.random.default_rng(
-                    np.random.SeedSequence(entropy=cfg.seed, spawn_key=(10, i))
-                ),
+                role_stream(cfg.seed, "sensitivity.ga_mc", i),
             )
             gains_r1.append(
                 math.log(capped(ga_rep.r1, cap) / capped(heft_rep.r1, cap))

@@ -10,14 +10,13 @@ level.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.problem import SchedulingProblem
 from repro.experiments.config import ExperimentConfig
 from repro.graph.generator import random_dag
 from repro.platform.etc import generate_etc
 from repro.platform.platform import Platform
 from repro.platform.uncertainty import UncertaintyModel, generate_ul
+from repro.utils.rng import role_stream
 
 __all__ = ["make_problem", "make_problems"]
 
@@ -29,8 +28,9 @@ def make_problem(
 
     Graph ``index`` and its BCET matrix are identical across different
     *mean_ul* values; only the UL matrix differs.  Each random stream is
-    derived from the config seed plus a role/index spawn key, so single
-    instances can be rebuilt independently (e.g. inside worker processes).
+    derived from the config seed (the ``instance.*`` streams of
+    :data:`repro.utils.rng.STREAM_ROLES`), so single instances can be
+    rebuilt independently (e.g. inside worker processes).
     """
     if mean_ul < 1.0:
         raise ValueError(f"mean_ul must be >= 1, got {mean_ul}")
@@ -38,18 +38,12 @@ def make_problem(
         raise ValueError(
             f"index must be in [0, {config.scale.n_graphs}), got {index}"
         )
-    graph_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(0, index))
-    )
-    etc_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(1, index))
-    )
+    graph_rng = role_stream(config.seed, "instance.graph", index)
+    etc_rng = role_stream(config.seed, "instance.etc", index)
     # UL stream folds the level into the key (scaled to dodge float
     # collisions between e.g. 2.0 and 20.0 at different spawn depths).
     ul_key = int(round(mean_ul * 1000))
-    ul_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(2, index, ul_key))
-    )
+    ul_rng = role_stream(config.seed, "instance.ul", index, ul_key)
 
     graph = random_dag(config.dag, graph_rng, name=f"inst{index}")
     bcet = generate_etc(graph.n, config.m, config.etc, etc_rng)

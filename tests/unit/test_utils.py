@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
+from repro.utils.rng import (
+    STREAM_ROLES,
+    _check_roles,
+    as_generator,
+    role_stream,
+    spawn_generators,
+    spawn_seeds,
+)
 from repro.utils.stats import geometric_mean, log_ratio, summarize
 from repro.utils.tables import format_series, format_table
 from repro.utils.validation import (
@@ -44,6 +51,31 @@ class TestRng:
         parent = np.random.default_rng(0)
         children = spawn_generators(parent, 2)
         assert len(children) == 2
+
+
+class TestStreamRoles:
+    def test_no_two_streams_share_a_role_and_key_length(self):
+        pairs = list(STREAM_ROLES.values())
+        assert len(set(pairs)) == len(pairs)
+
+    def test_duplicate_pair_rejected(self):
+        with pytest.raises(RuntimeError, match="'a' and 'b'"):
+            _check_roles({"a": (3, 2), "b": (3, 2)})
+        _check_roles({"a": (3, 2), "b": (3, 3)})  # lengths differ: allowed
+
+    def test_stream_is_the_table_spawn_key(self):
+        role, _ = STREAM_ROLES["eps_grid.ga"]
+        expected = np.random.default_rng(
+            np.random.SeedSequence(entropy=9, spawn_key=(role, 1, 2000, 0))
+        ).random(4)
+        got = role_stream(9, "eps_grid.ga", 1, 2000, 0).random(4)
+        assert np.array_equal(got, expected)
+
+    def test_wrong_key_length_rejected(self):
+        with pytest.raises(ValueError, match="3-part key"):
+            role_stream(9, "eps_grid.ga", 1, 2000)
+        with pytest.raises(KeyError):
+            role_stream(9, "no.such.stream", 1)
 
 
 class TestValidation:
