@@ -24,7 +24,6 @@ or via the installed entry point ``repro-sched``.
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 import time
 from typing import Sequence
@@ -95,18 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--quiet", action="store_true", help="suppress progress output"
         )
         p.add_argument(
+            "--workers",
             "--jobs",
+            dest="workers",
             type=_positive_int,
             default=1,
-            help="worker processes for the (UL, eps, instance) grid "
-            "(figs 4-8; results are identical for any value)",
-        )
-        p.add_argument(
-            "--workers",
-            type=_positive_int,
-            default=None,
-            help="cluster worker processes (figs 2-8; overrides --jobs; "
-            "crashed or hung workers are detected and their cells retried)",
+            help="cluster worker processes (figs 2-8; results are identical "
+            "for any value; crashed or hung workers are detected and their "
+            "cells retried)",
         )
         p.add_argument(
             "--checkpoint",
@@ -120,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="skip cells already journaled in the checkpoint; restored "
             "cells are bit-identical to recomputed ones (figs 2-8)",
-        )
-        p.add_argument(
-            "--metrics-json",
-            default=None,
-            help="deprecated: dump the cluster run metrics to this JSON "
-            "file (figs 2-8); prefer --trace, which captures the same "
-            "counters as gauges plus spans and lifecycle events",
         )
         _trace_arg(p)
 
@@ -266,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--workers",
         type=_positive_int,
-        default=None,
+        default=1,
         help="cluster worker processes for the instance fan-out "
         "(results are identical for any value)",
     )
@@ -361,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     energy.add_argument(
         "--workers",
         type=_positive_int,
-        default=None,
+        default=1,
         help="cluster worker processes for the instance fan-out "
         "(results are identical for any value)",
     )
@@ -417,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     algo.add_argument(
         "--workers",
         type=_positive_int,
-        default=None,
+        default=1,
         help="worker processes (default: in-process; results are "
         "bit-identical for any value)",
     )
@@ -514,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--workers",
         type=_positive_int,
-        default=None,
+        default=1,
         help="cluster worker processes for the grid fan-out "
         "(results are identical for any value)",
     )
@@ -710,10 +698,9 @@ def _cluster_kwargs(args: argparse.Namespace, config: ExperimentConfig) -> dict:
             f"-seed{config.seed}.jsonl"
         )
     return {
-        "n_jobs": args.workers if args.workers is not None else args.jobs,
+        "n_jobs": args.workers,
         "checkpoint": checkpoint,
         "resume": args.resume,
-        "metrics_path": args.metrics_json,
     }
 
 
@@ -908,7 +895,7 @@ def _run_faults(args: argparse.Namespace) -> str:
         epsilon=args.epsilon,
         strategies=tuple(strategies),
         ga_params=ga_params,
-        n_jobs=args.workers if args.workers is not None else 1,
+        n_jobs=args.workers,
         progress=_progress(args),
     )
     return results.to_table()
@@ -935,7 +922,7 @@ def _run_algo_grid(args: argparse.Namespace) -> str:
             m=args.procs,
             mean_ul=args.ul,
             n_realizations=args.realizations,
-            n_jobs=args.workers if args.workers is not None else 1,
+            n_jobs=args.workers,
             progress=_progress(args),
         )
     except ValueError as exc:
@@ -985,7 +972,7 @@ def _run_energy(args: argparse.Namespace) -> str:
         deadline_factor=args.deadline_factor,
         replication_realizations=args.replication_realizations,
         ga_params=ga_params,
-        n_jobs=args.workers if args.workers is not None else 1,
+        n_jobs=args.workers,
         progress=_progress(args),
     )
     out = results.to_table()
@@ -1020,7 +1007,7 @@ def _run_stream(args: argparse.Namespace) -> str:
             params,
             loads=tuple(args.loads) if args.loads else DEFAULT_LOADS,
             policies=tuple(args.policies) if args.policies else POLICY_NAMES,
-            n_jobs=args.workers if args.workers is not None else 1,
+            n_jobs=args.workers,
             progress=_progress(args),
         )
         return results.to_table()
@@ -1195,19 +1182,6 @@ def run(argv: Sequence[str] | None = None) -> str:
     if args.command == "trace-summary":
         return _run_trace_summary(args)
     trace_path = getattr(args, "trace", None)
-    if getattr(args, "metrics_json", None):
-        note = (
-            "note: --metrics-json is deprecated; prefer --trace PATH "
-            "(same counters, plus spans and lifecycle events)"
-        )
-        if trace_path is None:
-            # Forward the legacy flag into the equivalent trace sink so
-            # old invocations still produce the full stream.
-            trace_path = str(
-                pathlib.Path(args.metrics_json).with_suffix(".trace.jsonl")
-            )
-            note += f"; writing the equivalent trace to {trace_path}"
-        print(note, file=sys.stderr)
     if trace_path is None:
         return _dispatch(args)
 

@@ -13,7 +13,7 @@ work across a pool of supervised worker processes with
 * a durable JSONL :class:`~repro.cluster.checkpoint.Checkpoint` journal
   so interrupted runs resume bit-for-bit, and
 * a :class:`~repro.cluster.metrics.ClusterMetrics` surface (live one-line
-  status, JSON dump).
+  status, snapshot recorded as ``cluster.*`` trace gauges).
 
 See ``docs/cluster.md`` for the architecture and determinism contract.
 """

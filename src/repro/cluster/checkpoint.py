@@ -1,11 +1,11 @@
 """Durable progress: a JSONL journal of completed tasks.
 
-Each completed task appends one self-contained line ``{"key", "seed",
-"retries", "elapsed", "run_elapsed", "result"}``; a run interrupted at
-any point (even
-mid-line — the torn tail is ignored on load) can therefore be resumed by
-re-submitting the same specs: journaled keys are restored without
-re-execution, everything else runs.
+Each completed task appends one self-contained line ``{"key", "retries",
+"elapsed", "run_elapsed", "result"}``; a run interrupted at any point
+(even mid-line — the torn tail is ignored on load) can therefore be
+resumed by re-submitting the same specs: journaled keys are restored
+without re-execution, everything else runs.  Loading ignores any other
+field of a record, so journals carrying extra fields still resume.
 
 Fidelity matters more than compactness here: results restored from the
 journal must be **bit-for-bit** equal to freshly computed ones, so cells
@@ -130,7 +130,6 @@ class Checkpoint:
         key: str,
         result: Any,
         *,
-        seed: int | tuple[int, ...] | None = None,
         retries: int = 0,
         elapsed: float = 0.0,
         run_elapsed: float = 0.0,
@@ -155,7 +154,6 @@ class Checkpoint:
         line = json.dumps(
             {
                 "key": key,
-                "seed": seed,
                 "retries": retries,
                 "elapsed": elapsed,
                 "run_elapsed": run_elapsed,

@@ -2,15 +2,14 @@
 
 One :class:`ClusterMetrics` instance lives per scheduler run.  The
 scheduler mutates the counters as tasks move through their lifecycle;
-consumers read them three ways: the live :meth:`status_line` (one line,
-suitable for overwriting terminal output), the structured
-:meth:`snapshot` dict, and :meth:`dump` to a JSON file.
+consumers read them two ways: the live :meth:`status_line` (one line,
+suitable for overwriting terminal output) and the structured
+:meth:`snapshot` dict, which the scheduler also records as ``cluster.*``
+gauges when tracing is on.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import dataclass, field
 
@@ -34,7 +33,7 @@ class ClusterMetrics:
         Tasks skipped because the checkpoint already held their result.
     n_workers:
         Worker-pool size (0 for in-process execution).  Live while the
-        pool runs; after the run it keeps the final pool size so dumped
+        pool runs; after the run it keeps the final pool size so
         snapshots record what executed.
     respawns:
         Replacement workers started after crashes/hangs.
@@ -115,7 +114,3 @@ class ClusterMetrics:
             "throughput_per_s": self.throughput,
             "utilization": self.utilization,
         }
-
-    def dump(self, path: str | pathlib.Path) -> None:
-        """Write :meth:`snapshot` to *path* as indented JSON."""
-        pathlib.Path(path).write_text(json.dumps(self.snapshot(), indent=1))

@@ -271,11 +271,9 @@ class Scheduler:
             if not outcome.from_checkpoint:
                 obs.observe("cluster.task_seconds", outcome.duration)
             if journal and self.checkpoint is not None:
-                spec = self._specs[key]
                 self.checkpoint.record(
                     key,
                     outcome.result,
-                    seed=spec.seed,
                     retries=outcome.retries,
                     elapsed=outcome.duration,
                     run_elapsed=self.metrics.elapsed,
@@ -706,7 +704,7 @@ class Scheduler:
             except OSError:
                 pass
         # metrics.n_workers keeps the final pool size so post-run
-        # snapshots (--metrics-json) record what actually executed.
+        # snapshots (the cluster.* trace gauges) record what executed.
         self._workers = {}
         self.metrics.running = 0
 

@@ -3,10 +3,9 @@
 A :class:`TaskSpec` is a pure description — a module-level function plus
 arguments — so it can cross a process boundary.  Determinism is part of
 the contract: the function's random streams must derive from the spec's
-arguments (typically :class:`numpy.random.SeedSequence` spawn keys rooted
-at an experiment seed; see :mod:`repro.utils.rng`), never from worker
-identity, task placement or wall clock.  The optional ``seed`` field
-records that derivation material in the checkpoint journal.
+arguments (experiment grids build them with
+:func:`repro.utils.rng.role_stream` from an experiment seed), never from
+worker identity, task placement or wall clock.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ class TaskSpec:
         each key in ``deps`` to that task's result.
     args / kwargs:
         Positional / keyword arguments (picklable).
-    seed:
-        Deterministic seed material (int or tuple of ints) recorded in
-        the journal; informational — the function must already derive its
-        streams from its arguments.
     max_retries:
         How many times the task may be re-executed after a crash, a hang
         or an exception before it is marked permanently failed.
@@ -62,7 +57,6 @@ class TaskSpec:
     fn: Callable[..., Any]
     args: tuple = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    seed: int | tuple[int, ...] | None = None
     max_retries: int = 2
     deps: tuple[str, ...] = ()
     pass_dep_results: bool = False

@@ -65,7 +65,6 @@ def run_best_eps(
     progress=None,
     checkpoint=None,
     resume: bool = False,
-    metrics_path=None,
 ) -> BestEpsResult:
     """Run the Figs. 7/8 experiment (reusing a Figs. 5/6 grid if given)."""
     epsilons = tuple(float(e) for e in epsilons)
@@ -80,7 +79,6 @@ def run_best_eps(
             progress=progress,
             checkpoint=checkpoint,
             resume=resume,
-            metrics_path=metrics_path,
         )
 
     cap = config.r1_cap

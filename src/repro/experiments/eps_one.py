@@ -56,7 +56,6 @@ def run_eps_one(
     progress=None,
     checkpoint=None,
     resume: bool = False,
-    metrics_path=None,
 ) -> EpsOneResult:
     """Run the Fig. 4 experiment.
 
@@ -75,7 +74,6 @@ def run_eps_one(
             progress=progress,
             checkpoint=checkpoint,
             resume=resume,
-            metrics_path=metrics_path,
         )
     makespan = np.asarray(
         [

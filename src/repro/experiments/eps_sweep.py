@@ -59,7 +59,6 @@ def run_eps_sweep(
     progress=None,
     checkpoint=None,
     resume: bool = False,
-    metrics_path=None,
 ) -> EpsSweepResult:
     """Run the Figs. 5/6 experiment.
 
@@ -81,7 +80,6 @@ def run_eps_sweep(
             progress=progress,
             checkpoint=checkpoint,
             resume=resume,
-            metrics_path=metrics_path,
         )
 
     swept = tuple(e for e in epsilons if e != 1.0)

@@ -10,18 +10,18 @@ arrival densities, so the curves isolate contention — under one policy,
 and reports the miss-rate/goodput-vs-load curves the two Salehi-lab
 papers use as their headline figures.
 
-Execution fans one :class:`~repro.cluster.TaskSpec` per (load, policy)
-cell through :mod:`repro.cluster`; every random stream derives from the
-workload seed alone (spawn-key role 8 namespaces the cluster
-bookkeeping), so results — including each cell's exact drop set — are
-bit-identical for any worker count.
+Each (load, policy) pair is one cell of
+:func:`~repro.experiments.grid.run_grid`; every random stream derives
+from the workload seed alone, so results — including each cell's exact
+drop set — are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.cluster import ClusterConfig, Scheduler, TaskFailure, TaskSpec
+from repro.cluster import TaskSpec
+from repro.experiments.grid import run_grid
 from repro.stream.policies import POLICY_NAMES, make_policy
 from repro.stream.scheduler import StreamResult, run_stream
 from repro.stream.workload import StreamParams, build_workload
@@ -145,43 +145,17 @@ def run_stream_grid(
             raise ValueError(
                 f"unknown policy {policy!r}; choose from {POLICY_NAMES}"
             )
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
 
+    cells = [(load, policy) for load in loads for policy in policies]
     specs = [
         TaskSpec(
             key=f"stream/load={load:g}/policy={policy}",
             fn=_run_cell,
             args=(params, load, policy),
-            seed=(params.seed, 8, li, pi),
-            max_retries=2,
         )
-        for li, load in enumerate(loads)
-        for pi, policy in enumerate(policies)
+        for load, policy in cells
     ]
-
-    done = 0
-
-    def _on_done(spec: TaskSpec, outcome) -> None:
-        nonlocal done
-        done += 1
-        if progress is not None and outcome.ok:
-            progress(f"stream grid: {done}/{len(specs)} cells done")
-
-    scheduler = Scheduler(
-        ClusterConfig(n_workers=n_jobs if n_jobs > 1 else 0),
-        on_done=_on_done,
-    )
-    raw = scheduler.run(specs)
-    failures = [o for o in raw.values() if not o.ok]
-    if failures:
-        raise TaskFailure(failures)
-
-    results = {
-        (load, policy): raw[f"stream/load={load:g}/policy={policy}"].result
-        for load in loads
-        for policy in policies
-    }
+    results = dict(zip(cells, run_grid(specs, n_jobs=n_jobs, progress=progress)))
     return StreamGridResults(
         params=params, loads=loads, policies=policies, results=results
     )

@@ -1,9 +1,9 @@
 """Integration tests for the algo-grid catalogue sweep.
 
 Covers the issue's acceptance criteria end to end on a small scale:
-every grid cell produces a valid complete schedule, the sweep is
-bit-identical serial vs 2 workers, reruns are deterministic, and the
-rankings cover every requested combination.
+every grid cell produces a valid complete schedule, reruns are
+deterministic, and the rankings cover every requested combination
+(serial against 2 workers: ``test_grid.py``).
 """
 
 import math
@@ -49,11 +49,6 @@ def test_every_cell_is_assessed_and_finite(results):
         assert math.isfinite(o.mean_makespan)
         assert 0.0 <= o.miss_rate <= 1.0
         assert o.r1 > 0  # may be inf (never tardy)
-
-
-def test_serial_vs_two_workers_bit_identical(results):
-    parallel = run_algo_grid(n_jobs=2, **_KWARGS)
-    assert parallel.outcomes == results.outcomes
 
 
 def test_rerun_is_deterministic(results):

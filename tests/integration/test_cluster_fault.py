@@ -78,7 +78,6 @@ class TestSigkillRecovery:
                 key="victim",
                 fn=_kill_worker_on_first_attempt,
                 args=(str(tmp_path), "victim", 1234),
-                seed=1234,
                 max_retries=2,
             )
         ] + [
@@ -86,7 +85,6 @@ class TestSigkillRecovery:
                 key=f"ok{i}",
                 fn=_well_behaved_after,
                 args=(str(tmp_path), "victim", i),
-                seed=i,
             )
             for i in range(4)
         ]
@@ -116,7 +114,7 @@ class TestSigkillRecovery:
 
         path = tmp_path / "journal.jsonl"
         specs = [
-            TaskSpec(key=f"t{i}", fn=_well_behaved, args=(i,), seed=i)
+            TaskSpec(key=f"t{i}", fn=_well_behaved, args=(i,))
             for i in range(3)
         ]
         Scheduler(
@@ -144,10 +142,9 @@ class TestHangRecovery:
                 key="sleeper",
                 fn=_hang_worker_on_first_attempt,
                 args=(str(tmp_path), "sleeper", 77),
-                seed=77,
                 max_retries=2,
             ),
-            TaskSpec(key="ok", fn=_well_behaved, args=(5,), seed=5),
+            TaskSpec(key="ok", fn=_well_behaved, args=(5,)),
         ]
         sched = Scheduler(ClusterConfig(n_workers=2, **SUPERVISED))
         start = time.monotonic()
@@ -166,7 +163,7 @@ class TestPoisonTask:
         """A task that always raises exhausts max_retries, is marked
         failed, and every other task still completes."""
         specs = [TaskSpec(key="poison", fn=_poison, max_retries=2)] + [
-            TaskSpec(key=f"ok{i}", fn=_well_behaved, args=(i,), seed=i)
+            TaskSpec(key=f"ok{i}", fn=_well_behaved, args=(i,))
             for i in range(6)
         ]
         sched = Scheduler(ClusterConfig(n_workers=2, **SUPERVISED))
@@ -183,7 +180,7 @@ class TestPoisonTask:
 class TestPoolDeterminism:
     def test_pool_matches_serial(self):
         specs = [
-            TaskSpec(key=f"t{i}", fn=_well_behaved, args=(i,), seed=i)
+            TaskSpec(key=f"t{i}", fn=_well_behaved, args=(i,))
             for i in range(8)
         ]
         serial = Scheduler(ClusterConfig(n_workers=0)).run(specs)

@@ -3,10 +3,9 @@
 Covers the issue's acceptance criteria end to end on a small scale:
 every cell respects its ε-budget and slack floor, backup overlapping
 strictly beats naive duplication on fault-free energy at equal verified
-reliability, and the grid is bit-identical for any worker count.
+reliability, and reruns are deterministic (serial against 2 workers:
+``test_grid.py``).
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -56,19 +55,6 @@ def _outcome_key(o):
         "energy": o.energy,
         "dvfs_energy": o.dvfs_energy,
         "report": report_to_dict(o.report),
-    }
-
-
-def _replication_key(r):
-    return {
-        "instance": r.instance,
-        "policy": r.policy,
-        "k": r.k,
-        "deadline": r.deadline,
-        "e_total": r.energy.total,
-        "e_worst": r.energy.worst_case_backup,
-        "reserved": list(map(float, r.energy.reserved_time)),
-        "survival": r.survival.to_dict(),
     }
 
 
@@ -136,33 +122,6 @@ class TestReplication:
 
 
 class TestDeterminism:
-    def test_parallel_run_is_bit_identical_to_serial(self, grid):
-        """Two workers, same seed: every cell identical down to the JSON
-        encoding of the Monte-Carlo reports."""
-        parallel = run_energy_grid(
-            _CONFIG,
-            epsilons=_EPSILONS,
-            mean_ul=2.0,
-            slack_ratio=0.5,
-            k=1,
-            deadline_factor=4.0,
-            replication_realizations=4,
-            ga_params=_PARAMS,
-            n_jobs=2,
-        )
-        serial_json = json.dumps(
-            [_outcome_key(o) for o in grid.outcomes], sort_keys=True
-        )
-        parallel_json = json.dumps(
-            [_outcome_key(o) for o in parallel.outcomes], sort_keys=True
-        )
-        assert serial_json == parallel_json
-        assert json.dumps(
-            [_replication_key(r) for r in grid.replication], sort_keys=True
-        ) == json.dumps(
-            [_replication_key(r) for r in parallel.replication], sort_keys=True
-        )
-
     def test_rerun_is_deterministic(self, grid):
         again = run_energy_grid(
             _CONFIG,

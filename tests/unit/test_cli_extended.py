@@ -184,55 +184,18 @@ class TestTraceFlag:
         with pytest.raises(SystemExit, match="schema violation"):
             run(["trace-summary", str(bad)])
 
-    def test_metrics_json_prints_deprecation_note(self, tmp_path, capsys):
-        run(
-            [
-                "fig4",
-                "--scale",
-                "smoke",
-                "--quiet",
-                "--metrics-json",
-                str(tmp_path / "m.json"),
-            ]
-        )
-        assert "deprecated" in capsys.readouterr().err
+    def test_figure_trace_carries_cluster_gauges(self, tmp_path):
+        """A figure run's trace holds the cluster run's counters."""
+        from repro.experiments.config import PAPER_ULS, SCALES
+        from repro.obs import load_trace
 
-    def test_metrics_json_forwards_into_trace_sink(self, tmp_path, capsys):
-        """--metrics-json alone derives a trace next to the legacy file."""
-        metrics = tmp_path / "m.json"
-        run(["fig4", "--scale", "smoke", "--quiet", "--metrics-json", str(metrics)])
-        derived = tmp_path / "m.trace.jsonl"
-        note = capsys.readouterr().err
-        assert str(derived) in note
-        assert metrics.exists()  # legacy sink still written
-        records = [
-            json.loads(line) for line in derived.read_text().splitlines()
-        ]
-        spans = [r["name"] for r in records if r.get("type") == "span"]
-        assert "cli.fig4" in spans
-        # The legacy metrics-file content (cluster gauges) is in the
-        # trace too — the forwarded sink loses nothing.
-        gauges = {r["name"] for r in records if r.get("type") == "gauge"}
-        assert any(name.startswith("cluster.") for name in gauges)
-
-    def test_metrics_json_defers_to_explicit_trace(self, tmp_path, capsys):
-        """--metrics-json plus --trace: one trace, at the explicit path."""
-        metrics = tmp_path / "m.json"
-        trace = tmp_path / "explicit.jsonl"
-        run(
-            [
-                "fig4", "--scale", "smoke", "--quiet",
-                "--metrics-json", str(metrics),
-                "--trace", str(trace),
-            ]
-        )
-        assert "deprecated" in capsys.readouterr().err
-        assert trace.exists()
-        assert metrics.exists()
-        assert not (tmp_path / "m.trace.jsonl").exists()
-        spans = [
-            json.loads(line)["name"]
-            for line in trace.read_text().splitlines()
-            if json.loads(line).get("type") == "span"
-        ]
-        assert "cli.fig4" in spans
+        trace = tmp_path / "fig4.jsonl"
+        run(["fig4", "--scale", "smoke", "--quiet", "--trace", str(trace)])
+        gauges = {
+            r["name"]: r["value"]
+            for r in load_trace(trace)
+            if r["type"] == "gauge"
+        }
+        cells = SCALES["smoke"].n_graphs * len(PAPER_ULS)
+        assert gauges["cluster.n_tasks"] == gauges["cluster.done"] == cells
+        assert gauges["cluster.failed"] == 0

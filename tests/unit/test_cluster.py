@@ -169,7 +169,7 @@ class TestValidation:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ck = Checkpoint(tmp_path / "j.jsonl", run_id="run-1")
-        ck.record("a", {"x": 1.5}, seed=(1, 2), retries=0)
+        ck.record("a", {"x": 1.5}, retries=0)
         ck.record("b", [1, 2, 3])
         ck.close()
         loaded = Checkpoint(tmp_path / "j.jsonl", run_id="run-1").load()
@@ -256,12 +256,6 @@ class TestMetrics:
         line = m.status_line()
         assert "4/10 done" in line
         assert "retried" in line
-
-    def test_dump(self, tmp_path):
-        m = ClusterMetrics(n_tasks=2, done=2)
-        m.dump(tmp_path / "metrics.json")
-        data = json.loads((tmp_path / "metrics.json").read_text())
-        assert data["n_tasks"] == 2
 
     def test_utilization_bounded(self):
         m = ClusterMetrics(n_workers=2, busy_seconds=1e9)
