@@ -47,10 +47,6 @@ class HeartbeatMonitor:
         """Stop tracking a worker (retired or already declared lost)."""
         self._last.pop(worker_id, None)
 
-    def last_beat(self, worker_id: int) -> float | None:
-        """Most recent beat instant, or ``None`` if untracked."""
-        return self._last.get(worker_id)
-
     def overdue(self, now: float | None = None) -> list[int]:
         """Worker ids whose silence exceeds ``timeout`` (empty if disabled)."""
         if self.timeout is None:

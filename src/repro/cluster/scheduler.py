@@ -17,6 +17,11 @@ keeps raising — is marked permanently :attr:`~TaskState.FAILED`, its
 dependents are failed transitively, and the rest of the run proceeds:
 one poison cell never sinks a grid.
 
+One state machine runs both front doors.  The batch ``run`` validates
+the whole graph, registers every spec through the path ``submit`` uses,
+then repeats the step ``poll`` repeats: one ready task in-process, or
+pool top-up, dispatch, message pump and liveness sweep.
+
 Determinism: the scheduler never injects randomness.  Task functions
 derive their streams from their arguments (root seed + stable spawn
 keys), so results are bit-identical whether a task ran serially, on any
@@ -37,7 +42,7 @@ from repro.cluster.checkpoint import Checkpoint
 from repro.cluster.heartbeat import HeartbeatMonitor
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.task import TaskFailure, TaskOutcome, TaskSpec, TaskState
-from repro.cluster.worker import worker_main
+from repro.cluster.worker import run_attempt, worker_main
 from repro.obs import runtime as obs
 
 __all__ = ["ClusterConfig", "Scheduler", "run_tasks"]
@@ -59,16 +64,15 @@ class ClusterConfig:
         ``None`` disables hang detection (crashes are still caught).
     poll_interval:
         Scheduler event-loop wait granularity in seconds.
-    mp_context:
-        ``multiprocessing`` start method (``"fork"``/``"spawn"``/...),
-        ``None`` for the platform default.
+
+    Workers start with the platform's default ``multiprocessing`` start
+    method.
     """
 
     n_workers: int = 1
     heartbeat_interval: float = 0.25
     heartbeat_timeout: float | None = 30.0
     poll_interval: float = 0.05
-    mp_context: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 0:
@@ -89,18 +93,21 @@ class ClusterConfig:
 class _WorkerHandle:
     """Parent-side view of one worker process."""
 
-    __slots__ = ("id", "proc", "conn", "current", "busy_since")
+    __slots__ = ("id", "proc", "conn", "current")
 
     def __init__(self, wid: int, proc, conn) -> None:
         self.id = wid
         self.proc = proc
         self.conn = conn
         self.current: str | None = None  # key of the in-flight task
-        self.busy_since: float = 0.0
 
 
 class Scheduler:
-    """Run a batch of :class:`TaskSpec` with fault tolerance.
+    """Run :class:`TaskSpec` units with fault tolerance.
+
+    One state machine behind two front doors: the batch :meth:`run`, and
+    the incremental :meth:`submit` / :meth:`poll` / :meth:`close`
+    session.
 
     Parameters
     ----------
@@ -133,11 +140,26 @@ class Scheduler:
         self.checkpoint = checkpoint
         self.progress = progress
         self.on_done = on_done
-        self.metrics = ClusterMetrics()
-        self._incremental = False
-        self._completed_log: list[str] | None = None
+        self._session = False  # an incremental submit/poll session is open
+        self._reset()
 
-    # ------------------------------------------------------------------ setup
+    def _reset(self) -> None:
+        """Start a new run: no tasks, no workers, fresh metrics."""
+        self.metrics = ClusterMetrics()
+        self._specs: dict[str, TaskSpec] = {}
+        self._order: list[str] = []
+        self._outcomes: dict[str, TaskOutcome] = {}
+        self._retries: dict[str, int] = {}
+        self._waiting: dict[str, set[str]] = {}
+        self._dependents: dict[str, list[str]] = {}
+        self._ready: deque[str] = deque()
+        self._completed_log: list[str] = []  # keys in the order they finished
+        self._delivered = 0  # how many of those poll() has returned
+        self._workers: dict[int, _WorkerHandle] = {}
+        self._next_worker_id = 0
+        self._monitor = HeartbeatMonitor(timeout=self.config.heartbeat_timeout)
+
+    # ----------------------------------------------------------- registration
 
     def _validate(self, specs: Sequence[TaskSpec]) -> None:
         seen: set[str] = set()
@@ -170,55 +192,67 @@ class Scheduler:
             cyclic = sorted(k for k, n in pending.items() if n > 0)
             raise ValueError(f"dependency cycle among tasks: {cyclic[:5]}")
 
-    # ------------------------------------------------------------------- run
+    def _register(self, spec: TaskSpec) -> None:
+        """Add one task: ready, waiting on its deps, or failed at once."""
+        key = spec.key
+        self._specs[key] = spec
+        self._order.append(key)
+        self._retries[key] = 0
+        self._waiting[key] = {d for d in spec.deps if d not in self._outcomes}
+        self._dependents.setdefault(key, [])
+        for dep in spec.deps:
+            # A batch may name a dependency that registers after it.
+            self._dependents.setdefault(dep, []).append(key)
+        self.metrics.n_tasks += 1
+        self.metrics.queued += 1
+        failed_dep = next(
+            (d for d in spec.deps if d in self._outcomes and not self._outcomes[d].ok),
+            None,
+        )
+        if failed_dep is not None:
+            self._finish(
+                TaskOutcome(
+                    key=key,
+                    state=TaskState.FAILED,
+                    error=f"dependency {failed_dep!r} failed",
+                )
+            )
+        elif not self._waiting[key]:
+            self._ready.append(key)
+
+    # ------------------------------------------------------------- batch run
 
     def run(self, specs: Iterable[TaskSpec]) -> dict[str, TaskOutcome]:
         """Execute all specs; returns ``{key: TaskOutcome}`` in spec order.
 
-        Never raises on task failure — inspect the outcomes (or use
-        :func:`run_tasks` for raise-on-failure semantics).
+        The graph is validated as a whole (unique keys, known deps, no
+        cycles); then every spec is registered as :meth:`submit` registers
+        it, journaled results are restored, and the step :meth:`poll`
+        drives repeats until every task is terminal.  Never raises on
+        task failure — inspect the outcomes (or use :func:`run_tasks` for
+        raise-on-failure semantics).
         """
-        if self._incremental:
+        if self._session:
             raise RuntimeError(
                 "an incremental submit/poll session is open; close() it "
                 "before calling the batch run()"
             )
         specs = list(specs)
         self._validate(specs)
-        self._completed_log = None
-        self.metrics = ClusterMetrics()
-        self.metrics.n_tasks = len(specs)
-        self.metrics.queued = len(specs)
-
-        self._specs = {s.key: s for s in specs}
-        self._order = [s.key for s in specs]
-        self._outcomes: dict[str, TaskOutcome] = {}
-        self._retries: dict[str, int] = {k: 0 for k in self._specs}
-        self._waiting = {s.key: {d for d in s.deps} for s in specs}
-        self._dependents: dict[str, list[str]] = {k: [] for k in self._specs}
-        for s in specs:
-            for dep in s.deps:
-                self._dependents[dep].append(s.key)
-        self._ready: deque[str] = deque(
-            k for k in self._order if not self._waiting[k]
-        )
-
+        self._reset()
         with obs.trace(
             "cluster.run",
             n_tasks=len(specs),
             n_workers=self.config.n_workers,
         ) as run_span:
+            for spec in specs:
+                self._register(spec)
             self._restore_from_checkpoint()
-
-            if not self._unfinished():
-                pass
-            elif self.config.n_workers <= 1:
-                self._run_serial()
-            else:
-                self._run_pool()
-
-            if self.checkpoint is not None:
-                self.checkpoint.close()
+            try:
+                while self._unfinished():
+                    self._step()
+            finally:
+                self._teardown()
             if obs.enabled():
                 snap = self.metrics.snapshot()
                 run_span.set(
@@ -263,8 +297,7 @@ class Scheduler:
         """Record a terminal state and unlock (or fail) dependents."""
         key = outcome.key
         self._outcomes[key] = outcome
-        if self._completed_log is not None:
-            self._completed_log.append(key)
+        self._completed_log.append(key)
         self.metrics.queued = max(self.metrics.queued - 1, 0)
         if outcome.state is TaskState.DONE:
             self.metrics.done += 1
@@ -313,18 +346,6 @@ class Scheduler:
                 return key
         return None
 
-    def _record_failure(self, key: str, error: str, worker: int | None) -> None:
-        obs.event("cluster.task_failed", key=key, worker=worker)
-        self._finish(
-            TaskOutcome(
-                key=key,
-                state=TaskState.FAILED,
-                error=error,
-                retries=self._retries[key],
-                worker=worker,
-            )
-        )
-
     def _retry_or_fail(self, key: str, error: str, worker: int | None) -> None:
         """Crash/exception on attempt: requeue within budget, else fail."""
         self._retries[key] += 1
@@ -342,25 +363,47 @@ class Scheduler:
         else:
             # The final increment was the denied retry, not an execution.
             self._retries[key] -= 1
-            self._record_failure(key, error, worker)
+            obs.event("cluster.task_failed", key=key, worker=worker)
+            self._finish(
+                TaskOutcome(
+                    key=key,
+                    state=TaskState.FAILED,
+                    error=error,
+                    retries=self._retries[key],
+                    worker=worker,
+                )
+            )
+
+    def _apply(self, handle: _WorkerHandle | None, message: tuple) -> None:
+        """Apply one worker message to the run.
+
+        The message pump, the lost-worker drain and the in-process path
+        (``handle`` is ``None``) all come here.
+        """
+        if message[0] not in ("result", "error"):
+            return  # "ready" and "heartbeat" only show the worker is alive
+        kind, wid, key, payload, duration, events = message
+        self.metrics.busy_seconds += duration
+        obs.ingest(events)
+        if handle is not None and handle.current == key:
+            handle.current = None
+        if key in self._outcomes:
+            return  # late duplicate after a presumed-lost worker
+        if kind == "result":
+            self._finish(
+                TaskOutcome(
+                    key=key,
+                    state=TaskState.DONE,
+                    result=payload,
+                    retries=self._retries[key],
+                    worker=wid,
+                    duration=duration,
+                )
+            )
+        else:  # the task raised; the worker itself is fine
+            self._retry_or_fail(key, payload, wid)
 
     # ------------------------------------------------- incremental submit/poll
-
-    def _ensure_incremental(self) -> None:
-        if self._incremental:
-            return
-        self._incremental = True
-        self._specs = {}
-        self._order = []
-        self._outcomes = {}
-        self._retries = {}
-        self._waiting = {}
-        self._dependents = {}
-        self._ready = deque()
-        self._completed_log = []
-        self._delivered = 0
-        self._pool_ctx = None
-        self.metrics = ClusterMetrics()
 
     def submit(self, spec: TaskSpec) -> None:
         """Queue one task without blocking (incremental mode).
@@ -370,9 +413,9 @@ class Scheduler:
         :meth:`close`.  Dependencies must refer to keys submitted
         earlier (which also rules out cycles).  A task whose dependency
         already failed is failed immediately, surfacing on the next
-        :meth:`poll`.
+        :meth:`poll`.  Nothing runs until the next :meth:`poll`.
         """
-        self._ensure_incremental()
+        self._open_session()
         if spec.key in self._specs:
             raise ValueError(f"duplicate task key {spec.key!r}")
         missing = [d for d in spec.deps if d not in self._specs]
@@ -381,161 +424,93 @@ class Scheduler:
                 f"task {spec.key!r} depends on unknown task {missing[0]!r} "
                 "(incremental deps must be submitted first)"
             )
-        self._specs[spec.key] = spec
-        self._order.append(spec.key)
-        self._retries[spec.key] = 0
-        self._waiting[spec.key] = {
-            d for d in spec.deps if d not in self._outcomes
-        }
-        self._dependents[spec.key] = []
-        for dep in spec.deps:
-            self._dependents[dep].append(spec.key)
-        self.metrics.n_tasks += 1
-        self.metrics.queued += 1
-        failed_dep = next(
-            (d for d in spec.deps if d in self._outcomes and not self._outcomes[d].ok),
-            None,
-        )
-        if failed_dep is not None:
-            self._finish(
-                TaskOutcome(
-                    key=spec.key,
-                    state=TaskState.FAILED,
-                    error=f"dependency {failed_dep!r} failed",
-                )
-            )
-        elif not self._waiting[spec.key]:
-            self._ready.append(spec.key)
-        if self.config.n_workers > 1:
-            self._ensure_pool()
-            self._dispatch()
+        self._register(spec)
 
     def poll(self, timeout: float = 0.0) -> list[TaskOutcome]:
         """Advance the run and return outcomes that became terminal.
 
-        With ``n_workers <= 1`` this executes at most **one** ready task
-        inline (blocking for its duration — the bit-identical serial
-        path).  With a pool it dispatches ready tasks, pumps worker
-        messages and sweeps liveness until something completes or
-        *timeout* seconds have elapsed (each pump waits one
-        ``poll_interval`` tick).  Every terminal outcome is returned
-        exactly once across successive calls.
+        Repeats the run's step until some task reaches a terminal state
+        or *timeout* seconds have elapsed.  With ``n_workers <= 1`` a
+        step executes one ready task inline (blocking for its duration —
+        the bit-identical serial path); with a pool it starts workers,
+        dispatches ready tasks, pumps worker messages for one
+        ``poll_interval`` tick and sweeps liveness.  Every terminal
+        outcome is returned exactly once across successive calls.
         """
-        self._ensure_incremental()
-        if self.config.n_workers <= 1:
-            key = self._next_ready()
-            if key is not None:
-                self._execute_inline(key)
-        elif self._unfinished():
-            self._ensure_pool()
-            deadline = time.monotonic() + max(timeout, 0.0)
-            while True:
-                self._dispatch()
-                self._pump_messages()
-                self._sweep_liveness(self._pool_ctx)
-                if (
-                    len(self._completed_log) > self._delivered
-                    or time.monotonic() >= deadline
-                    or not self._unfinished()
-                ):
-                    break
-        new = [
-            self._outcomes[k] for k in self._completed_log[self._delivered:]
-        ]
+        self._open_session()
+        deadline = time.monotonic() + max(timeout, 0.0)
+        while self._unfinished():
+            self._step()
+            if (
+                len(self._completed_log) > self._delivered
+                or time.monotonic() >= deadline
+            ):
+                break
+        new = [self._outcomes[k] for k in self._completed_log[self._delivered:]]
         self._delivered = len(self._completed_log)
         return new
 
     def pending(self) -> int:
         """Tasks submitted but not yet terminal (incremental mode)."""
-        if not self._incremental:
-            return 0
-        return self._unfinished()
+        return self._unfinished() if self._session else 0
 
     def close(self) -> None:
         """End an incremental session: stop workers, close the journal."""
-        if not self._incremental:
-            return
-        if getattr(self, "_pool_ctx", None) is not None and getattr(
-            self, "_workers", None
-        ):
-            self._shutdown_pool()
-        if self.checkpoint is not None:
-            self.checkpoint.close()
-        self._incremental = False
-        self._completed_log = None
+        if self._session:
+            self._session = False
+            self._teardown()
 
-    def _ensure_pool(self) -> None:
-        if self._pool_ctx is None:
-            self._pool_ctx = mp.get_context(self.config.mp_context)
-            self._workers = {}
-            self._next_worker_id = 0
-            self._monitor = HeartbeatMonitor(timeout=self.config.heartbeat_timeout)
-        while len(self._workers) < min(self.config.n_workers, self._unfinished()):
-            self._spawn_worker(self._pool_ctx)
+    def _open_session(self) -> None:
+        if not self._session:
+            self._reset()
+            self._session = True
 
-    # ------------------------------------------------------------ serial path
+    # -------------------------------------------------------------- the step
 
-    def _run_serial(self) -> None:
-        """In-process execution: same order, same streams, no pickling."""
-        while True:
+    def _step(self) -> None:
+        """Advance the run once; :meth:`run` and :meth:`poll` repeat it.
+
+        In-process (``n_workers <= 1``) a step executes one ready task.
+        With a pool it tops the pool up, dispatches ready tasks to idle
+        workers, applies the messages that arrive within one
+        ``poll_interval`` and retires dead or hung workers.
+        """
+        if self.config.n_workers <= 1:
             key = self._next_ready()
-            if key is None:
-                break
-            self._execute_inline(key)
-
-    def _execute_inline(self, key: str) -> None:
-        """Run one ready task to completion in this process."""
-        import traceback
-
-        spec = self._specs[key]
-        dep_results = self._dep_results(spec)
-        self.metrics.running = 1
-        start = time.perf_counter()
-        try:
-            with obs.trace("cluster.task", key=key):
-                if dep_results is not None:
-                    result = spec.fn(dep_results, *spec.args, **spec.kwargs)
-                else:
-                    result = spec.fn(*spec.args, **spec.kwargs)
-        except Exception:
-            self.metrics.running = 0
-            self._retry_or_fail(key, traceback.format_exc(), None)
+            if key is not None:
+                spec = self._specs[key]
+                self.metrics.running = 1
+                kind, payload, duration = run_attempt(
+                    key,
+                    spec.fn,
+                    spec.args,
+                    spec.kwargs,
+                    self._dep_results(spec),
+                    Exception,
+                )
+                self.metrics.running = 0
+                self._apply(None, (kind, None, key, payload, duration, None))
             return
-        self.metrics.running = 0
-        duration = time.perf_counter() - start
-        self.metrics.busy_seconds += duration
-        self._finish(
-            TaskOutcome(
-                key=key,
-                state=TaskState.DONE,
-                result=result,
-                retries=self._retries[key],
-                duration=duration,
-            )
-        )
+        self._top_up()
+        self._dispatch()
+        self._pump_messages()
+        self._sweep_liveness()
 
-    # -------------------------------------------------------------- pool path
+    def _top_up(self) -> None:
+        """Keep the pool at strength while useful work remains."""
+        while len(self._workers) < min(self.config.n_workers, self._unfinished()):
+            # Workers leave the pool only when lost, so spawned minus live
+            # counts the losses; a spawn beyond the replacements made so
+            # far replaces one of them.
+            if self._next_worker_id - len(self._workers) > self.metrics.respawns:
+                self.metrics.respawns += 1
+            self._spawn_worker()
 
-    def _run_pool(self) -> None:
-        ctx = mp.get_context(self.config.mp_context)
-        self._workers: dict[int, _WorkerHandle] = {}
-        self._next_worker_id = 0
-        self._monitor = HeartbeatMonitor(timeout=self.config.heartbeat_timeout)
-        try:
-            for _ in range(min(self.config.n_workers, self._unfinished())):
-                self._spawn_worker(ctx)
-            while self._unfinished():
-                self._dispatch()
-                self._pump_messages()
-                self._sweep_liveness(ctx)
-        finally:
-            self._shutdown_pool()
-
-    def _spawn_worker(self, ctx) -> None:
+    def _spawn_worker(self) -> None:
         wid = self._next_worker_id
         self._next_worker_id += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(
+        parent_conn, child_conn = mp.Pipe(duplex=True)
+        proc = mp.Process(
             target=worker_main,
             args=(child_conn, wid, self.config.heartbeat_interval),
             name=f"repro-cluster-worker-{wid}",
@@ -573,10 +548,9 @@ class Scheduler:
                 self._on_worker_lost(handle, "worker pipe closed at dispatch")
                 break
             handle.current = key
-            handle.busy_since = time.monotonic()
-            self.metrics.running = sum(
-                1 for w in self._workers.values() if w.current is not None
-            )
+        self.metrics.running = sum(
+            w.current is not None for w in self._workers.values()
+        )
 
     def _pump_messages(self) -> None:
         conns = {w.conn: w for w in self._workers.values()}
@@ -594,39 +568,17 @@ class Scheduler:
                     self._on_worker_lost(handle, "worker connection lost")
                     break
                 self._monitor.beat(handle.id)
-                kind = message[0]
-                if kind in ("heartbeat", "ready"):
-                    continue
-                _, wid, key, payload, duration, events = message
-                self.metrics.busy_seconds += duration
-                obs.ingest(events)
-                if handle.current == key:
-                    handle.current = None
-                if key in self._outcomes:
-                    continue  # late duplicate after a presumed-lost worker
-                if kind == "result":
-                    self._finish(
-                        TaskOutcome(
-                            key=key,
-                            state=TaskState.DONE,
-                            result=payload,
-                            retries=self._retries[key],
-                            worker=wid,
-                            duration=duration,
-                        )
-                    )
-                else:  # "error": the task raised; worker itself is fine
-                    self._retry_or_fail(key, payload, wid)
+                self._apply(handle, message)
         self.metrics.running = sum(
-            1 for w in self._workers.values() if w.current is not None
+            w.current is not None for w in self._workers.values()
         )
 
-    def _sweep_liveness(self, ctx) -> None:
-        lost: list[tuple[_WorkerHandle, str]] = []
-        for handle in self._workers.values():
-            if not handle.proc.is_alive():
-                code = handle.proc.exitcode
-                lost.append((handle, f"worker process died (exit code {code})"))
+    def _sweep_liveness(self) -> None:
+        lost = [
+            (handle, f"worker process died (exit code {handle.proc.exitcode})")
+            for handle in self._workers.values()
+            if not handle.proc.is_alive()
+        ]
         for wid in self._monitor.overdue():
             handle = self._workers.get(wid)
             if handle is not None and handle.proc.is_alive():
@@ -642,37 +594,17 @@ class Scheduler:
                 )
         for handle, reason in lost:
             self._on_worker_lost(handle, reason)
-        # Keep the pool at strength while useful work remains.
-        while len(self._workers) < min(self.config.n_workers, self._unfinished()):
-            self.metrics.respawns += 1
-            self._spawn_worker(ctx)
 
     def _on_worker_lost(self, handle: _WorkerHandle, reason: str) -> None:
         """Retire a dead/hung worker, requeueing its in-flight task."""
         if handle.id not in self._workers:
             return  # already retired via another detection path
         obs.event("cluster.worker_lost", worker=handle.id, reason=reason)
-        # Drain any result that raced with the crash (sent, then died).
+        # Apply what the worker sent before it died: a result or an error
+        # can race the crash.
         try:
             while handle.conn.poll():
-                message = handle.conn.recv()
-                if message[0] in ("result", "error"):
-                    _, wid, key, payload, duration, events = message
-                    if handle.current == key:
-                        handle.current = None
-                    if key not in self._outcomes and message[0] == "result":
-                        self.metrics.busy_seconds += duration
-                        obs.ingest(events)
-                        self._finish(
-                            TaskOutcome(
-                                key=key,
-                                state=TaskState.DONE,
-                                result=payload,
-                                retries=self._retries[key],
-                                worker=wid,
-                                duration=duration,
-                            )
-                        )
+                self._apply(handle, handle.conn.recv())
         except (EOFError, OSError):
             pass
         del self._workers[handle.id]
@@ -687,7 +619,8 @@ class Scheduler:
         if handle.current is not None and handle.current not in self._outcomes:
             self._retry_or_fail(handle.current, reason, handle.id)
 
-    def _shutdown_pool(self) -> None:
+    def _teardown(self) -> None:
+        """End a run or session: stop the workers, close the journal."""
         for handle in self._workers.values():
             try:
                 handle.conn.send(("stop",))
@@ -707,6 +640,8 @@ class Scheduler:
         # snapshots (the cluster.* trace gauges) record what executed.
         self._workers = {}
         self.metrics.running = 0
+        if self.checkpoint is not None:
+            self.checkpoint.close()
 
 
 def run_tasks(

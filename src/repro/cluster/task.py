@@ -18,11 +18,8 @@ __all__ = ["TaskSpec", "TaskState", "TaskOutcome", "TaskFailure"]
 
 
 class TaskState(enum.Enum):
-    """Lifecycle of a task inside one scheduler run."""
+    """Terminal state of a task in a scheduler run."""
 
-    PENDING = "pending"      # waiting on dependencies
-    READY = "ready"          # dispatchable
-    RUNNING = "running"      # assigned to a worker
     DONE = "done"            # result available
     FAILED = "failed"        # retry budget exhausted (or dependency failed)
 

@@ -27,6 +27,9 @@ Task exceptions are caught and reported as ``error`` messages — the
 worker survives and pulls the next task; retry policy lives in the
 scheduler.  Only a crash (signal, OOM kill, interpreter abort) or a hang
 takes a worker down, and the scheduler detects both.
+
+:func:`run_attempt` is the one way a task attempt runs: the worker calls
+it for every task, and the scheduler's in-process path calls it too.
 """
 
 from __future__ import annotations
@@ -35,42 +38,37 @@ import threading
 import time
 import traceback
 
-__all__ = ["worker_main"]
+from repro.obs import runtime as obs
+from repro.obs.sinks import InMemorySink
+
+__all__ = ["run_attempt", "worker_main"]
 
 
-def _run_traced(key, fn, args, kwargs, dep_results):
-    """Execute one task under a local obs session.
+def run_attempt(key, fn, args, kwargs, dep_results, catch=BaseException):
+    """Run one attempt of a task inside its ``cluster.task`` span.
 
-    Returns ``(result, error_traceback_or_None, events)``.  Capture is
-    best-effort: the session is torn down even when the task raises, and
-    whatever was recorded up to the exception still ships back (the
-    ``cluster.task`` span closes with error status).
+    Returns ``(kind, payload, duration)``: ``("result", result, s)``, or
+    ``("error", traceback_str, s)`` when *fn* raised one of *catch* (the
+    span then closes with error status).  Workers catch
+    ``BaseException`` so that nothing a task raises takes them down; the
+    in-process path passes ``Exception`` and lets ``KeyboardInterrupt``
+    stop the run.
     """
-    from repro.obs import runtime as obs
-    from repro.obs.sinks import InMemorySink
-
-    session = obs.enable(InMemorySink())
-    result = error = None
+    start = time.perf_counter()
     try:
-        try:
-            with obs.trace("cluster.task", key=key):
-                if dep_results is not None:
-                    result = fn(dep_results, *args, **kwargs)
-                else:
-                    result = fn(*args, **kwargs)
-        except BaseException:
-            error = traceback.format_exc()
-        events = session.drain_records()
-    finally:
-        obs.disable()
-    return result, error, events
+        with obs.trace("cluster.task", key=key):
+            if dep_results is not None:
+                result = fn(dep_results, *args, **kwargs)
+            else:
+                result = fn(*args, **kwargs)
+    except catch:
+        return "error", traceback.format_exc(), time.perf_counter() - start
+    return "result", result, time.perf_counter() - start
 
 
 def worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
     """Entry point of one worker process (module-level: spawn-safe)."""
-    from repro.obs import runtime as obs_runtime
-
-    obs_runtime.reset_inherited()  # a fork-inherited session is the parent's
+    obs.reset_inherited()  # a fork-inherited session is the parent's
     send_lock = threading.Lock()
     stop_beating = threading.Event()
 
@@ -100,43 +98,18 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float) -> None:
             if message[0] == "stop":
                 break
             _, key, fn, args, kwargs, dep_results, want_trace = message
-            start = time.perf_counter()
-            if want_trace:
-                result, error, events = _run_traced(
-                    key, fn, args, kwargs, dep_results
-                )
-                duration = time.perf_counter() - start
-                if error is not None:
-                    message = ("error", worker_id, key, error, duration, events)
-                else:
-                    message = ("result", worker_id, key, result, duration, events)
-                if not _send(message):
-                    break
-                continue
-            try:
-                if dep_results is not None:
-                    result = fn(dep_results, *args, **kwargs)
-                else:
-                    result = fn(*args, **kwargs)
-            except BaseException:
-                duration = time.perf_counter() - start
-                if not _send(
-                    (
-                        "error",
-                        worker_id,
-                        key,
-                        traceback.format_exc(),
-                        duration,
-                        None,
-                    )
-                ):
-                    break
-            else:
-                duration = time.perf_counter() - start
-                if not _send(
-                    ("result", worker_id, key, result, duration, None)
-                ):
-                    break
+            # A traced task runs under a local in-memory session whose
+            # records ship back with the answer.
+            session = obs.enable(InMemorySink()) if want_trace else None
+            kind, payload, duration = run_attempt(
+                key, fn, args, kwargs, dep_results
+            )
+            events = None
+            if session is not None:
+                events = session.drain_records()
+                obs.disable()
+            if not _send((kind, worker_id, key, payload, duration, events)):
+                break
     finally:
         stop_beating.set()
         try:

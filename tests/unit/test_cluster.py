@@ -1,6 +1,7 @@
 """Unit tests for repro.cluster: specs, scheduling, checkpoints, metrics."""
 
 import json
+import multiprocessing
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.cluster import (
     TaskState,
     run_tasks,
 )
+from repro.cluster.scheduler import _WorkerHandle
 
 # Module-level task functions (picklable; the serial path calls them
 # in-process so closures would work, but mirroring the pool contract
@@ -453,3 +455,57 @@ class TestIncrementalSubmitPoll:
         finally:
             serial.close()
             pool.close()
+
+
+class _DeadProcess:
+    """Stands in for a worker process that has already exited."""
+
+    exitcode = -9
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+
+class TestLostWorkerDrain:
+    """A worker's last message can race its death; the drain applies it."""
+
+    def _lose_worker_after_error(self, max_retries):
+        scheduler = Scheduler()
+        scheduler.submit(
+            TaskSpec(key="t", fn=_double, args=(4,), max_retries=max_retries)
+        )
+        # A one-worker pool, installed by hand: the worker took "t",
+        # reported its exception and died before the pump read the report.
+        key = scheduler._next_ready()
+        ours, theirs = multiprocessing.Pipe()
+        handle = _WorkerHandle(0, _DeadProcess(), ours)
+        handle.current = key
+        scheduler._workers = {0: handle}
+        scheduler._monitor = HeartbeatMonitor()
+        theirs.send(("error", 0, key, "Traceback ...\nValueError: raced", 0.0, None))
+        theirs.close()
+        scheduler._on_worker_lost(handle, "worker process died (exit code -9)")
+        return scheduler
+
+    def test_raced_error_requeues_the_task(self):
+        scheduler = self._lose_worker_after_error(max_retries=1)
+        assert list(scheduler._ready) == ["t"]
+        assert scheduler.metrics.retried == 1
+        outcomes = scheduler.poll()  # the retry runs in-process
+        assert [(o.key, o.ok, o.result, o.retries) for o in outcomes] == [
+            ("t", True, 8, 1)
+        ]
+        scheduler.close()
+
+    def test_raced_error_fails_once_retries_are_spent(self):
+        scheduler = self._lose_worker_after_error(max_retries=0)
+        outcomes = scheduler.poll()
+        assert [o.key for o in outcomes] == ["t"]
+        assert outcomes[0].state is TaskState.FAILED
+        assert "ValueError: raced" in outcomes[0].error
+        assert outcomes[0].worker == 0
+        assert scheduler.pending() == 0
+        scheduler.close()
