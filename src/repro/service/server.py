@@ -154,14 +154,16 @@ class _GaBackend:
     queue; the thread submits them to the incremental scheduler and
     resolves the asyncio futures back on the loop as outcomes arrive.
     With one worker the scheduler's serial path runs the solve inline on
-    this thread, which is exactly the single-slot GA tier.
+    this thread, which is exactly the single-slot GA tier.  With no job in
+    flight the thread blocks on the queue, so a request that reaches an
+    idle tier is submitted at once; :meth:`stop` wakes it with a ``None``
+    sentinel.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, n_workers: int) -> None:
         self._loop = loop
         self._n_workers = n_workers
         self._jobs: queue.Queue = queue.Queue()
-        self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="repro-service-ga", daemon=True
         )
@@ -170,7 +172,7 @@ class _GaBackend:
         self._thread.start()
 
     def stop(self, timeout: float = 30.0) -> None:
-        self._stop.set()
+        self._jobs.put(None)  # wakes an idle thread; in-flight jobs finish
         self._thread.join(timeout=timeout)
 
     def submit(self, payload: dict, future: asyncio.Future) -> None:
@@ -187,13 +189,20 @@ class _GaBackend:
         )
         pending: dict[str, asyncio.Future] = {}
         seq = 0
+        stopping = False
+        block = True
         try:
             while True:
                 while True:
                     try:
-                        payload, future = self._jobs.get_nowait()
+                        job = self._jobs.get(block=block)
                     except queue.Empty:
                         break
+                    block = False
+                    if job is None:
+                        stopping = True
+                        continue
+                    payload, future = job
                     seq += 1
                     pending[f"ga-{seq}"] = future
                     scheduler.submit(
@@ -205,9 +214,10 @@ class _GaBackend:
                         )
                     )
                 if not pending:
-                    if self._stop.is_set():
+                    if stopping:
                         break
-                    time.sleep(0.02)
+                    # Idle: sleep on the queue until a job or stop() arrives.
+                    block = True
                     continue
                 for outcome in scheduler.poll(timeout=0.05):
                     future = pending.pop(outcome.key)
