@@ -60,8 +60,9 @@ class TestIslandGeneticScheduler:
         assert a.island_bests == b.island_bests
 
     def test_cluster_run_matches_serial(self):
-        """Islands as cluster tasks (migrants via the scheduler) produce
-        bit-identical results to the in-process epoch loop."""
+        """The island tasks (migrants via the scheduler's dependency
+        results) give bit-identical results on a 2-worker pool and
+        in-process (``n_jobs=1``)."""
         problem = make_random_problem(9, n=12, m=2)
 
         def scheduler():
