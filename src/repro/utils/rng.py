@@ -51,6 +51,10 @@ STREAM_ROLES: dict[str, tuple[int, int]] = {
     "algo_grid.instance": (11, 3),  # (family_idx, index, part)
     "algo_grid.mc": (12, 3),  # (family_idx, index, combo_idx)
     "fault_grid.ga": (13, 2),  # (index, ul_key)
+    "zoo.annealing": (14, 2),  # (index, ul_key)
+    "zoo.ga": (15, 2),  # (index, ul_key)
+    "zoo.mc": (16, 2),  # (index, ul_key)
+    "zoo.online_mc": (17, 2),  # (index, ul_key)
 }
 
 
