@@ -11,8 +11,7 @@ import numpy as np
 
 from repro.core.robust import RobustScheduler
 from repro.experiments.workloads import make_problems
-from repro.heuristics.heft import HeftScheduler
-from repro.heuristics.padded import QuantileHeftScheduler
+from repro.heuristics import HeftScheduler, QuantileHeftScheduler
 from repro.robustness.montecarlo import assess_robustness
 from repro.utils.tables import format_table
 

@@ -67,11 +67,13 @@ from repro.ga.fitness import (
 from repro.graph.generator import DagParams, random_dag
 from repro.graph.taskgraph import TaskGraph
 from repro.heuristics.annealing import AnnealingParams, AnnealingScheduler
-from repro.heuristics.cpop import CpopScheduler
-from repro.heuristics.heft import HeftScheduler
-from repro.heuristics.minmin import MinMinScheduler
-from repro.heuristics.padded import QuantileHeftScheduler
-from repro.heuristics.peft import PeftScheduler
+from repro.heuristics import (
+    CpopScheduler,
+    HeftScheduler,
+    MinMinScheduler,
+    PeftScheduler,
+    QuantileHeftScheduler,
+)
 from repro.heuristics.random_sched import RandomScheduler
 from repro.platform.etc import EtcParams, generate_etc
 from repro.platform.platform import Platform

@@ -5,13 +5,14 @@ priority **ranking** × processor **selection** × **insertion** policy ×
 placement **order** (tie-breaking / lookahead) — per the decomposition
 of "Parameterized Task Graph Scheduling Algorithm for Comparing
 Algorithmic Components" (arXiv 2403.07112).  A :class:`Components`
-tuple names one point of the grid; :class:`ComponentScheduler` runs it;
-:data:`CATALOGUE` names the served combinations, the first four of
-which reproduce :class:`~repro.heuristics.HeftScheduler`,
-:class:`~repro.heuristics.CpopScheduler`,
-:class:`~repro.heuristics.PeftScheduler` and
-:class:`~repro.heuristics.MinMinScheduler` **bit-identically**
-(hypothesis-pinned in ``tests/property/test_algebra_identity.py``).
+tuple names one point of the grid; :class:`ComponentScheduler`, the
+library's one list scheduler, runs it; :data:`CATALOGUE` names the
+served combinations.  :func:`~repro.heuristics.HeftScheduler`,
+:func:`~repro.heuristics.CpopScheduler`,
+:func:`~repro.heuristics.PeftScheduler` and
+:func:`~repro.heuristics.MinMinScheduler` build its first four entries,
+and :func:`~repro.heuristics.QuantileHeftScheduler` a ``padded`` point
+(outputs pinned by ``tests/property/heuristics_golden.json``).
 
 >>> from repro.algebra import Components, ComponentScheduler
 >>> ComponentScheduler(Components("upward", "eft", "append", "static"))
@@ -30,7 +31,6 @@ from repro.algebra.components import (
     Components,
     RankContext,
     rank_context,
-    static_blevels,
 )
 from repro.algebra.catalogue import (
     ALGEBRA_SOLVERS,
@@ -50,7 +50,6 @@ __all__ = [
     "Components",
     "RankContext",
     "rank_context",
-    "static_blevels",
     "ComponentScheduler",
     "CATALOGUE",
     "LEGACY_EQUIVALENTS",

@@ -1,9 +1,11 @@
 """The named scheduler catalogue: every combination served and swept.
 
 ``CATALOGUE`` maps a stable name to the :class:`Components` tuple it
-runs.  The first four entries reproduce the legacy classes bit-for-bit
-(property-pinned); the rest recombine the axes into new schedulers that
-cost zero additional implementation.  Every entry is
+runs.  The first four entries are HEFT, CPOP, PEFT and min-min, which
+:mod:`repro.heuristics` builds under its class-style names (outputs
+pinned by ``tests/property/heuristics_golden.json``); the rest recombine
+the axes into new schedulers that cost zero additional implementation.
+Every entry is
 
 * runnable via ``repro algo-grid`` (:mod:`repro.experiments.algo_grid`),
 * servable as a fast-tier solver in :mod:`repro.service` (the extras are
@@ -27,7 +29,7 @@ __all__ = [
 
 #: name -> component tuple.  Insertion order is the canonical sweep order.
 CATALOGUE: dict[str, Components] = {
-    # -- the four legacy schedulers as grid points (bit-identical) ----- #
+    # -- the four classic schedulers ----------------------------------- #
     "heft": Components("upward", "eft", "insertion", "static"),
     "cpop": Components("cp", "pinned", "insertion", "ready"),
     "peft": Components("oct", "oct", "insertion", "ready"),
@@ -53,11 +55,11 @@ CATALOGUE: dict[str, Components] = {
     "random-append": Components("random", "eft", "append", "ready"),
 }
 
-#: Catalogue entries that reproduce a legacy class bit-identically.
+#: The classic schedulers' entries, also built by names in repro.heuristics.
 LEGACY_EQUIVALENTS = ("heft", "cpop", "peft", "minmin")
 
 #: New solver names contributed to ``repro.service``'s fast tier — the
-#: catalogue minus the legacy names the protocol already lists.
+#: catalogue minus the classic names the protocol already lists.
 ALGEBRA_SOLVERS: tuple[str, ...] = tuple(
     name for name in CATALOGUE if name not in LEGACY_EQUIVALENTS
 )

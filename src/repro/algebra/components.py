@@ -18,11 +18,10 @@ axes:
 
 :class:`Components` names one point of that grid and validates the
 combination; :func:`rank_context` evaluates the ranking axis into the
-:class:`RankContext` the selection and order loops consume.  The legacy
-classes in :mod:`repro.heuristics` are specific points of the grid (see
-:mod:`repro.algebra.catalogue`) and remain the verified reference
-implementations — the ranking functions here are *imported from* them,
-not reimplemented, so the component route cannot drift numerically.
+:class:`RankContext` the selection and order loops consume.  HEFT, CPOP,
+PEFT and min-min are specific points of the grid (see
+:mod:`repro.algebra.catalogue`); the ranking functions are their
+building blocks in :mod:`repro.heuristics`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.heuristics.base import average_execution_times
 from repro.heuristics.cpop import critical_path_tasks
 from repro.heuristics.heft import downward_ranks, upward_ranks
 from repro.heuristics.peft import optimistic_cost_table
@@ -49,7 +47,6 @@ __all__ = [
     "Components",
     "RankContext",
     "rank_context",
-    "static_blevels",
 ]
 
 #: Priority-ranking axis: how every task's static priority is computed.
@@ -74,25 +71,6 @@ ORDERS = ("static", "ready", "greedy-eft", "greedy-maxeft")
 MONOTONE_RANKINGS = frozenset({"upward", "blevel"})
 
 
-def static_blevels(problem: SchedulingProblem) -> np.ndarray:
-    """Static b-level: longest average-execution path to an exit task.
-
-    The classic communication-free bottom level — :func:`upward_ranks`
-    with every communication cost zeroed.  Monotone along edges, so its
-    descending sort is a valid static placement order.
-    """
-    graph = problem.graph
-    w = average_execution_times(problem)
-    rank = w.copy()
-    for v in graph.topological[::-1]:
-        v = int(v)
-        eidx = graph.successor_edge_indices(v)
-        if eidx.size:
-            succ = graph.edge_dst[eidx]
-            rank[v] = w[v] + float(rank[succ].max())
-    return rank
-
-
 @dataclass(frozen=True)
 class Components:
     """One named point of the scheduler grid: ranking × selection ×
@@ -103,9 +81,9 @@ class Components:
     ranking / selection / insertion / order:
         One member of each axis (see the module constants).
     q:
-        Quantile for the ``padded`` selection (``0.9`` reproduces
-        :class:`~repro.heuristics.padded.QuantileHeftScheduler`'s
-        default); ignored by every other selection.
+        Quantile for the ``padded`` selection (``0.9`` is
+        :func:`~repro.heuristics.QuantileHeftScheduler`'s default);
+        ignored by every other selection.
     seed:
         Entropy for the ``random`` ranking's deterministic priority
         stream; ignored by every other ranking.
@@ -194,15 +172,14 @@ def rank_context(
     if ranking == "upward":
         return RankContext(priorities=upward_ranks(problem))
     if ranking == "blevel":
-        return RankContext(priorities=static_blevels(problem))
+        # The static b-level: the upward rank without communication.
+        no_comm = np.zeros_like(problem.graph.edge_data)
+        return RankContext(priorities=upward_ranks(problem, no_comm))
     if ranking == "cp":
         prio = upward_ranks(problem) + downward_ranks(problem)
-        cp = set(critical_path_tasks(problem))
-        cp_idx = np.asarray(sorted(cp), dtype=np.int64)
-        cp_proc = int(np.argmin(problem.expected_times[cp_idx].sum(axis=0)))
-        return RankContext(
-            priorities=prio, cp_tasks=frozenset(cp), cp_proc=cp_proc
-        )
+        cp = frozenset(critical_path_tasks(problem))
+        cp_proc = int(np.argmin(problem.expected_times[sorted(cp)].sum(axis=0)))
+        return RankContext(priorities=prio, cp_tasks=cp, cp_proc=cp_proc)
     if ranking == "oct":
         table = optimistic_cost_table(problem)
         return RankContext(priorities=table.mean(axis=1), oct_table=table)

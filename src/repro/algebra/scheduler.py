@@ -1,11 +1,11 @@
 """ComponentScheduler — one list scheduler per point of the component grid.
 
-The order loops here replicate the legacy classes' mechanics exactly —
-the ``static`` loop is HEFT's ``np.lexsort`` pass, the ``ready`` loop is
-the CPOP/PEFT priority heap, the greedy loops are min-min's sorted-set
-scan — so a tuple that names a legacy scheduler's components produces a
-bit-identical schedule (pinned by
-``tests/property/test_algebra_identity.py``).
+This is the library's only list scheduler.  Three order loops cover the
+grid: the ``static`` loop sorts once by descending priority (HEFT), the
+``ready`` loop pops a priority heap of ready tasks (CPOP, PEFT), and the
+greedy loops scan the ready set for the extreme selected finish
+(min-min, max-min).  The outputs of the HEFT, CPOP, PEFT, min-min and
+quantile-HEFT points are pinned by ``tests/property/heuristics_golden.json``.
 """
 
 from __future__ import annotations
@@ -152,9 +152,8 @@ class ComponentScheduler:
                 obs.add(f"algebra.insertion.{comps.insertion}")
                 obs.add(f"algebra.order.{comps.order}")
             if comps.selection == "padded":
-                # QuantileHeftScheduler's mechanism, generalised: plan the
-                # whole pipeline against q-quantile durations, then rebind
-                # the processor orders to the real problem.
+                # Plan the whole pipeline against q-quantile durations,
+                # then rebind the processor orders to the real problem.
                 proxy = SchedulingProblem(
                     graph=problem.graph,
                     platform=problem.platform,

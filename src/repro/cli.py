@@ -754,22 +754,17 @@ def _run_solve(args: argparse.Namespace) -> str:
 
 
 def _run_compare(args: argparse.Namespace) -> str:
+    from repro.algebra import component_scheduler
     from repro.core.robust import RobustScheduler
-    from repro.heuristics import (
-        CpopScheduler,
-        HeftScheduler,
-        MinMinScheduler,
-        PeftScheduler,
-    )
     from repro.robustness.montecarlo import assess_robustness
     from repro.utils.tables import format_table
 
     problem = _instance(args)
     schedulers = [
-        ("HEFT", HeftScheduler()),
-        ("CPOP", CpopScheduler()),
-        ("PEFT", PeftScheduler()),
-        ("min-min", MinMinScheduler()),
+        ("HEFT", component_scheduler("heft")),
+        ("CPOP", component_scheduler("cpop")),
+        ("PEFT", component_scheduler("peft")),
+        ("min-min", component_scheduler("minmin")),
         ("robust GA", RobustScheduler(epsilon=1.0, rng=args.seed + 1)),
     ]
     rows = []
@@ -788,24 +783,16 @@ def _run_compare(args: argparse.Namespace) -> str:
 
 
 def _run_gantt(args: argparse.Namespace) -> str:
+    from repro.algebra import component_scheduler
     from repro.core.robust import RobustScheduler
-    from repro.heuristics import (
-        CpopScheduler,
-        HeftScheduler,
-        MinMinScheduler,
-        PeftScheduler,
-    )
     from repro.schedule.gantt import render_gantt
 
     problem = _instance(args)
-    schedulers = {
-        "heft": HeftScheduler(),
-        "cpop": CpopScheduler(),
-        "peft": PeftScheduler(),
-        "minmin": MinMinScheduler(),
-        "robust": RobustScheduler(epsilon=args.epsilon, rng=args.seed + 1),
-    }
-    schedule = schedulers[args.scheduler].schedule(problem)
+    if args.scheduler == "robust":
+        scheduler = RobustScheduler(epsilon=args.epsilon, rng=args.seed + 1)
+    else:
+        scheduler = component_scheduler(args.scheduler)
+    schedule = scheduler.schedule(problem)
     header = f"{problem.name} — {args.scheduler}"
     return header + "\n" + render_gantt(schedule, width=args.width)
 

@@ -1,16 +1,16 @@
 """Deterministic scheduling heuristics.
 
-* :class:`~repro.heuristics.heft.HeftScheduler` — the HEFT algorithm of
+* :func:`~repro.heuristics.heft.HeftScheduler` — the HEFT algorithm of
   Topcuoglu, Hariri & Wu (ref. [24]), the paper's baseline and the source
   of both the ε-constraint bound ``M_HEFT`` (Eqn. 7) and the GA's seed
   chromosome (Sec. 4.2.2).
-* :class:`~repro.heuristics.cpop.CpopScheduler` — CPOP, from the same
+* :func:`~repro.heuristics.cpop.CpopScheduler` — CPOP, from the same
   paper, as an extra baseline for tests and ablations.
-* :class:`~repro.heuristics.minmin.MinMinScheduler` — a min-min style
+* :func:`~repro.heuristics.base.MinMinScheduler` — a min-min style
   ready-list scheduler.
-* :class:`~repro.heuristics.peft.PeftScheduler` — PEFT (Arabnejad &
+* :func:`~repro.heuristics.peft.PeftScheduler` — PEFT (Arabnejad &
   Barbosa), ranking and selecting via the optimistic cost table.
-* :class:`~repro.heuristics.padded.QuantileHeftScheduler` — HEFT run on
+* :func:`~repro.heuristics.heft.QuantileHeftScheduler` — HEFT run on
   quantile-padded times, rebound to the true expected-time problem.
 * :class:`~repro.heuristics.annealing.AnnealingScheduler` — simulated
   annealing over (order, assignment) pairs, a non-list-based baseline.
@@ -20,22 +20,21 @@
 Every list scheduler above decomposes into four orthogonal choices —
 how tasks are *ranked*, how a processor is *selected*, whether slots may
 be *inserted* into idle gaps, and in what *order* tasks are visited.
-:mod:`repro.algebra` makes that decomposition explicit: each class here
-(except the annealer and the random baseline) is reproduced bit-identically
-by a named :class:`~repro.algebra.Components` tuple, and new schedulers
-are built by mixing axes rather than subclassing.  The classes in this
-package remain the verified references.
+:mod:`repro.algebra` makes that decomposition explicit: each name above
+(except the annealer and the random baseline) builds its one list
+scheduler, :class:`~repro.algebra.ComponentScheduler`, for one
+:class:`~repro.algebra.Components` tuple.  This package keeps the
+building blocks, the rankings and :class:`PartialSchedule`; the outputs
+are pinned by ``tests/property/heuristics_golden.json``.
 
 All heuristics see only the *expected* execution-time matrix, matching the
 paper's information model.
 """
 
 from repro.heuristics.annealing import AnnealingParams, AnnealingScheduler
-from repro.heuristics.base import PartialSchedule, Scheduler
+from repro.heuristics.base import MinMinScheduler, PartialSchedule, Scheduler
 from repro.heuristics.cpop import CpopScheduler
-from repro.heuristics.heft import HeftScheduler, upward_ranks
-from repro.heuristics.minmin import MinMinScheduler
-from repro.heuristics.padded import QuantileHeftScheduler
+from repro.heuristics.heft import HeftScheduler, QuantileHeftScheduler, upward_ranks
 from repro.heuristics.peft import PeftScheduler, optimistic_cost_table
 from repro.heuristics.random_sched import RandomScheduler, random_schedule
 

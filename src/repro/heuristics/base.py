@@ -10,14 +10,17 @@ two already-placed tasks), and commit the best placement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
 from repro.schedule.schedule import Schedule
 
-__all__ = ["Scheduler", "PartialSchedule"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.algebra.scheduler import ComponentScheduler
+
+__all__ = ["Scheduler", "PartialSchedule", "MinMinScheduler"]
 
 
 @runtime_checkable
@@ -207,3 +210,15 @@ def average_comm_costs(problem: SchedulingProblem) -> np.ndarray:
     platforms.
     """
     return problem.graph.edge_data * problem.platform.mean_inverse_rate
+
+
+def MinMinScheduler() -> ComponentScheduler:
+    """DAG min-min, catalogue entry ``minmin``.
+
+    At every step, compute each *ready* task's best (insertion-based)
+    earliest finish time over all processors, then commit the ready task
+    whose best EFT is smallest; ties break toward the smaller task id.
+    """
+    from repro.algebra.catalogue import component_scheduler
+
+    return component_scheduler("minmin")

@@ -13,28 +13,39 @@ The paper's reference heuristic [24]:
 ``M_HEFT``, the makespan of this schedule under expected durations, is the
 ε-constraint reference bound (Eqn. 7); the HEFT chromosome also seeds the
 GA's initial population (Sec. 4.2.2).
+
+The rankings here are building blocks of :mod:`repro.algebra`;
+:func:`HeftScheduler` and :func:`QuantileHeftScheduler` build its
+:class:`~repro.algebra.ComponentScheduler` for HEFT's points of the grid.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
-from repro.heuristics.base import (
-    PartialSchedule,
-    average_comm_costs,
-    average_execution_times,
-)
-from repro.schedule.schedule import Schedule
+from repro.heuristics.base import average_comm_costs, average_execution_times
 
-__all__ = ["upward_ranks", "downward_ranks", "HeftScheduler"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.algebra.scheduler import ComponentScheduler
+
+__all__ = ["upward_ranks", "downward_ranks", "HeftScheduler", "QuantileHeftScheduler"]
 
 
-def upward_ranks(problem: SchedulingProblem) -> np.ndarray:
-    """Upward rank of every task (``rank_u``), computed in reverse topo order."""
+def upward_ranks(
+    problem: SchedulingProblem, edge_costs: np.ndarray | None = None
+) -> np.ndarray:
+    """Upward rank of every task (``rank_u``), computed in reverse topo order.
+
+    *edge_costs* is the per-edge communication cost in canonical edge
+    order (default: the processor-pair averages).  Zero costs give the
+    static b-level, the longest average-execution path to an exit.
+    """
     graph = problem.graph
     w = average_execution_times(problem)
-    c = average_comm_costs(problem)
+    c = average_comm_costs(problem) if edge_costs is None else edge_costs
     rank = w.copy()
     for v in graph.topological[::-1]:
         v = int(v)
@@ -60,27 +71,29 @@ def downward_ranks(problem: SchedulingProblem) -> np.ndarray:
     return rank
 
 
-class HeftScheduler:
-    """Insertion-based HEFT list scheduler.
+def HeftScheduler() -> ComponentScheduler:
+    """The insertion-based HEFT list scheduler, catalogue entry ``heft``.
 
     Deterministic: rank ties are broken toward the smaller task id and
     processor ties toward the smaller processor index.
     """
+    from repro.algebra.catalogue import component_scheduler
 
-    name = "heft"
+    return component_scheduler("heft")
 
-    def schedule(self, problem: SchedulingProblem) -> Schedule:
-        """Build the HEFT schedule for *problem*."""
-        ranks = upward_ranks(problem)
-        # Decreasing rank; np.lexsort is ascending, so negate. Secondary key
-        # (task id) makes the order fully deterministic.
-        order = np.lexsort((np.arange(problem.n), -ranks))
-        partial = PartialSchedule(problem)
-        for v in order:
-            v = int(v)
-            proc, _, _ = partial.best_processor(v)
-            partial.place(v, proc)
-        return partial.to_schedule()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "HeftScheduler()"
+def QuantileHeftScheduler(q: float = 0.9) -> ComponentScheduler:
+    """HEFT planned on q-quantile durations, named ``heft-q{q:g}``.
+
+    The paper's "judicious overestimation" strawman (Sec. 1, ablation
+    A7): plan against each (task, processor) duration's ``q``-quantile,
+    then rebind the processor orders to the true problem — the algebra's
+    ``padded`` selection.  Uniform padding would change nothing (HEFT is
+    scale-invariant); ``q = 0.5`` is plain HEFT under the uniform model.
+    Raises :class:`ValueError` for *q* outside ``[0, 1]``.
+    """
+    from repro.algebra.components import Components
+    from repro.algebra.scheduler import ComponentScheduler
+
+    comps = Components("upward", "padded", "insertion", "static", q=float(q))
+    return ComponentScheduler(comps, name=f"heft-q{q:g}")

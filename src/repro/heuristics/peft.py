@@ -10,17 +10,22 @@ path cost if task ``t`` runs on processor ``p``::
 (0 for exit tasks).  Tasks are prioritised by the processor-average OCT
 and each is placed on the processor minimizing ``EFT + OCT`` — trading a
 locally optimal finish for a better predicted downstream.
+
+:func:`optimistic_cost_table` is the algebra's ``oct`` ranking;
+:func:`PeftScheduler` builds the ``peft`` catalogue entry.
 """
 
 from __future__ import annotations
 
-import heapq
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
-from repro.heuristics.base import PartialSchedule, average_comm_costs
-from repro.schedule.schedule import Schedule
+from repro.heuristics.base import average_comm_costs
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.algebra.scheduler import ComponentScheduler
 
 __all__ = ["optimistic_cost_table", "PeftScheduler"]
 
@@ -52,46 +57,13 @@ def optimistic_cost_table(problem: SchedulingProblem) -> np.ndarray:
     return oct_table
 
 
-class PeftScheduler:
-    """Insertion-based PEFT list scheduler.
+def PeftScheduler() -> ComponentScheduler:
+    """The insertion-based PEFT list scheduler, catalogue entry ``peft``.
 
     Processed in ready order (a task is only placed once its predecessors
     are), prioritised by descending average OCT; ties break to the smaller
     task id, processor ties to the smaller index.
     """
+    from repro.algebra.catalogue import component_scheduler
 
-    name = "peft"
-
-    def schedule(self, problem: SchedulingProblem) -> Schedule:
-        """Build the PEFT schedule for *problem*."""
-        graph = problem.graph
-        oct_table = optimistic_cost_table(problem)
-        rank = oct_table.mean(axis=1)
-
-        partial = PartialSchedule(problem)
-        indeg = graph.in_degree().astype(np.int64).copy()
-        ready = [(-float(rank[v]), int(v)) for v in np.flatnonzero(indeg == 0)]
-        heapq.heapify(ready)
-        placed = 0
-        while ready:
-            _, v = heapq.heappop(ready)
-            best: tuple[float, int] | None = None  # (eft + oct, proc)
-            for p in range(problem.m):
-                _, fin = partial.eft(v, p)
-                score = fin + float(oct_table[v, p])
-                if best is None or score < best[0]:
-                    best = (score, p)
-            assert best is not None
-            partial.place(v, best[1])
-            placed += 1
-            for w_ in graph.successors(v):
-                w_ = int(w_)
-                indeg[w_] -= 1
-                if indeg[w_] == 0:
-                    heapq.heappush(ready, (-float(rank[w_]), w_))
-        if placed != problem.n:  # pragma: no cover - graph validated acyclic
-            raise RuntimeError("PEFT failed to place all tasks")
-        return partial.to_schedule()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "PeftScheduler()"
+    return component_scheduler("peft")

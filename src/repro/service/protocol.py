@@ -77,8 +77,9 @@ ALGEBRA_SOLVERS = (
 )
 
 #: Solvers a ``solve`` request may name.  The heuristics — the four
-#: legacy names plus the component-algebra catalogue — form the fast
-#: tier (served inline); ``"ga"`` is the queued tier (see admission.py).
+#: classic names plus the rest of the component-algebra catalogue — form
+#: the fast tier (served inline); ``"ga"`` is the queued tier (see
+#: admission.py).
 SOLVERS = ("heft", "cpop", "peft", "minmin") + ALGEBRA_SOLVERS + ("ga",)
 FAST_SOLVERS = frozenset(s for s in SOLVERS if s != "ga")
 

@@ -6,8 +6,8 @@ payload alone — never from worker identity, queue position or wall
 clock — so a response is reproducible by calling the library directly
 with the same inputs:
 
-* heuristics (``heft``/``cpop``/``peft``/``minmin``):
-  ``Scheduler().schedule(problem)``;
+* heuristics (``heft``, ``cpop`` and every other catalogue name):
+  ``component_scheduler(solver).schedule(problem)``;
 * ``ga``: ``RobustScheduler(epsilon, params, rng=seed,
   warm_start=seeds).solve(problem)`` — the warm-start seeds the server
   injected (if any) ride in the payload's ``warm_seeds`` field, so the
@@ -41,29 +41,8 @@ __all__ = ["heuristic_for", "build_ga_params", "solve_params", "execute_payload"
 
 
 def heuristic_for(solver: str):
-    """The scheduler instance behind one fast-tier solver name.
-
-    The four legacy names map to the verified reference classes; every
-    other fast-tier name resolves through the component-algebra
-    catalogue (bit-identical for the legacy names either way, so the
-    split is about keeping the reference implementations on the paths
-    the paper's experiments exercise).
-    """
-    from repro.heuristics import (
-        CpopScheduler,
-        HeftScheduler,
-        MinMinScheduler,
-        PeftScheduler,
-    )
-
-    classes = {
-        "heft": HeftScheduler,
-        "cpop": CpopScheduler,
-        "peft": PeftScheduler,
-        "minmin": MinMinScheduler,
-    }
-    if solver in classes:
-        return classes[solver]()
+    """The scheduler instance behind one fast-tier solver name: the
+    component-algebra catalogue entry of that name."""
     from repro.algebra import component_scheduler
 
     return component_scheduler(solver)

@@ -1,87 +1,17 @@
-"""Property tests: the component algebra reproduces the legacy classes.
+"""Property tests: every catalogue entry schedules validly and repeatably.
 
-The pinned contract (see ``docs/algorithms.md``): the catalogue tuples
-named after HEFT, CPOP, PEFT and min-min produce schedules
-**bit-identical** to the verified reference classes in
-:mod:`repro.heuristics` — identical processor orders, identical
-assignment vectors, and byte-equal Monte-Carlo R1/R2 report JSON — over
-arbitrary problems.  The padded selection likewise reproduces
-:class:`~repro.heuristics.QuantileHeftScheduler`, and every catalogue
-entry yields a valid complete schedule.
+The outputs of the HEFT, CPOP, PEFT, min-min and quantile-HEFT points are
+pinned separately, by ``tests/property/heuristics_golden.json``.
 """
 
-import json
-
-import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algebra import CATALOGUE, component_scheduler
-from repro.heuristics import (
-    CpopScheduler,
-    HeftScheduler,
-    MinMinScheduler,
-    PeftScheduler,
-    QuantileHeftScheduler,
-)
-from repro.io import report_to_dict
-from repro.robustness.montecarlo import assess_robustness
 from tests.property.strategies import problems
-
-_LEGACY = {
-    "heft": HeftScheduler,
-    "cpop": CpopScheduler,
-    "peft": PeftScheduler,
-    "minmin": MinMinScheduler,
-}
 
 
 def _orders(schedule):
     return [list(map(int, order)) for order in schedule.proc_orders]
-
-
-def _identical_reports(a, b):
-    assert np.array_equal(a.realized_makespans, b.realized_makespans)
-    assert a.expected_makespan == b.expected_makespan
-    assert a.avg_slack == b.avg_slack
-    assert a.r1 == b.r1
-    assert a.r2 == b.r2
-    assert json.dumps(report_to_dict(a), sort_keys=True) == json.dumps(
-        report_to_dict(b), sort_keys=True
-    )
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    problem=problems(min_n=1, max_n=10, max_m=3),
-    name=st.sampled_from(sorted(_LEGACY)),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_component_tuple_is_bit_identical_to_legacy(problem, name, seed):
-    """Same floats in, same comparisons, same schedule out — and the
-    downstream Monte-Carlo reports are byte-equal JSON."""
-    legacy = _LEGACY[name]().schedule(problem)
-    algebra = component_scheduler(name).schedule(problem)
-
-    assert _orders(algebra) == _orders(legacy)
-    assert np.array_equal(algebra.proc_of, legacy.proc_of)
-
-    _identical_reports(
-        assess_robustness(algebra, 16, rng=seed),
-        assess_robustness(legacy, 16, rng=seed),
-    )
-
-
-@settings(max_examples=15, deadline=None)
-@given(problem=problems(min_n=1, max_n=10, max_m=3))
-def test_padded_selection_is_bit_identical_to_quantile_heft(problem):
-    """The ``padded`` selection generalises QuantileHeftScheduler's
-    proxy-problem mechanism; at (upward, padded@q0.9, insertion, static)
-    it must reproduce it exactly."""
-    legacy = QuantileHeftScheduler(0.9).schedule(problem)
-    algebra = component_scheduler("heft-q90").schedule(problem)
-    assert _orders(algebra) == _orders(legacy)
-    assert np.array_equal(algebra.proc_of, legacy.proc_of)
 
 
 @settings(max_examples=10, deadline=None)

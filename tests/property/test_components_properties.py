@@ -5,10 +5,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.heuristics.cpop import CpopScheduler
-from repro.heuristics.heft import HeftScheduler
-from repro.heuristics.minmin import MinMinScheduler
-from repro.heuristics.peft import PeftScheduler
+from repro.heuristics import (
+    CpopScheduler,
+    HeftScheduler,
+    MinMinScheduler,
+    PeftScheduler,
+)
 from repro.io.json_io import (
     problem_from_dict,
     problem_to_dict,

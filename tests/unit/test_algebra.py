@@ -16,7 +16,6 @@ from repro.algebra import (
     ComponentScheduler,
     component_scheduler,
     rank_context,
-    static_blevels,
 )
 from repro.cli import ALGO_FAMILIES, run as cli_run
 from repro.core.problem import SchedulingProblem
@@ -103,7 +102,7 @@ class TestComponentsValidation:
 class TestRankings:
     def test_blevels_decrease_along_every_edge(self):
         problem = _problem(seed=3, n=30)
-        rank = static_blevels(problem)
+        rank = rank_context(Components("blevel"), problem).priorities
         graph = problem.graph
         for u, v in zip(graph.edge_src, graph.edge_dst):
             assert rank[int(u)] > rank[int(v)]

@@ -5,8 +5,8 @@ import pytest
 
 from repro.heuristics.base import PartialSchedule
 from repro.heuristics.cpop import CpopScheduler, critical_path_tasks
+from repro.heuristics import MinMinScheduler
 from repro.heuristics.heft import HeftScheduler
-from repro.heuristics.minmin import MinMinScheduler
 from repro.heuristics.random_sched import RandomScheduler, random_schedule
 from repro.schedule.evaluation import evaluate
 from tests.conftest import make_random_problem

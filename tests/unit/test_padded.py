@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.heuristics.heft import HeftScheduler
-from repro.heuristics.padded import QuantileHeftScheduler
+from repro.heuristics import HeftScheduler, QuantileHeftScheduler
 from repro.robustness.montecarlo import assess_robustness
 from repro.schedule.evaluation import evaluate
 from tests.conftest import make_random_problem
