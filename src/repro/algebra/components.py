@@ -177,7 +177,7 @@ def rank_context(
         return RankContext(priorities=upward_ranks(problem, no_comm))
     if ranking == "cp":
         prio = upward_ranks(problem) + downward_ranks(problem)
-        cp = frozenset(critical_path_tasks(problem))
+        cp = frozenset(critical_path_tasks(problem, prio))
         cp_proc = int(np.argmin(problem.expected_times[sorted(cp)].sum(axis=0)))
         return RankContext(priorities=prio, cp_tasks=cp, cp_proc=cp_proc)
     if ranking == "oct":

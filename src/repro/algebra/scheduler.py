@@ -6,6 +6,11 @@ grid: the ``static`` loop sorts once by descending priority (HEFT), the
 greedy loops scan the ready set for the extreme selected finish
 (min-min, max-min).  The outputs of the HEFT, CPOP, PEFT, min-min and
 quantile-HEFT points are pinned by ``tests/property/heuristics_golden.json``.
+
+With the native library loaded, the whole placement loop is one
+``list_schedule`` call (:mod:`repro.graph._native`); the Python loop over
+:class:`~repro.heuristics.base.PartialSchedule` below is its reference
+and the ``REPRO_NATIVE=0`` path.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 from repro import obs
 from repro.algebra.components import Components, RankContext, rank_context
 from repro.core.problem import SchedulingProblem
+from repro.graph import _native
 from repro.heuristics.base import PartialSchedule
 from repro.platform.uncertainty import UncertaintyModel
 from repro.schedule.schedule import Schedule
@@ -113,6 +119,148 @@ _SELECTORS = {
 }
 
 
+def _place(
+    problem: SchedulingProblem,
+    comps: Components,
+    ctx: RankContext,
+    order: np.ndarray | None,
+) -> list[np.ndarray]:
+    """The placement loop over a :class:`PartialSchedule` (the reference).
+
+    *order* is the ``static`` order's task sequence (``None`` for the
+    other orders).  Returns the per-processor task orders.
+    """
+    partial = PartialSchedule(
+        problem, append_only=(comps.insertion == "append")
+    )
+    select = _SELECTORS[comps.selection]
+
+    if comps.order == "static":
+        for v in order:
+            v = int(v)
+            proc, _ = select(partial, v, ctx)
+            partial.place(v, proc)
+        return partial.proc_orders()
+
+    graph = problem.graph
+    indeg = graph.in_degree().astype(np.int64).copy()
+
+    if comps.order == "ready":
+        # CPOP/PEFT's pass: max-heap on priority over ready tasks.
+        prio = ctx.priorities
+        ready_heap = [
+            (-float(prio[v]), int(v)) for v in np.flatnonzero(indeg == 0)
+        ]
+        heapq.heapify(ready_heap)
+        placed = 0
+        while ready_heap:
+            _, v = heapq.heappop(ready_heap)
+            proc, _ = select(partial, v, ctx)
+            partial.place(v, proc)
+            placed += 1
+            for w in graph.successors(v):
+                w = int(w)
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready_heap, (-float(prio[w]), w))
+        if placed != problem.n:  # pragma: no cover - graph is acyclic
+            raise RuntimeError("ready order failed to place all tasks")
+        return partial.proc_orders()
+
+    # Greedy orders (min-min's pass): the ranking is ignored; every
+    # step commits the ready task with the extreme selected finish.
+    maximize = comps.order == "greedy-maxeft"
+    ready = set(int(v) for v in np.flatnonzero(indeg == 0))
+    for _ in range(problem.n):
+        best: tuple[float, int, int] | None = None  # (fin, task, proc)
+        for v in sorted(ready):
+            proc, fin = select(partial, v, ctx)
+            better = (
+                best is None
+                or (fin > best[0] if maximize else fin < best[0])
+            )
+            if better:
+                best = (fin, v, proc)
+        if best is None:  # pragma: no cover - graph is acyclic
+            raise RuntimeError("greedy order deadlocked: no ready task")
+        _, v, proc = best
+        partial.place(v, proc)
+        ready.discard(v)
+        for w in graph.successors(v):
+            w = int(w)
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.add(w)
+    return partial.proc_orders()
+
+
+#: ``list_schedule``'s codes for the order and selection axes.
+_ORDER_CODES = {"static": 0, "ready": 1, "greedy-eft": 2, "greedy-maxeft": 3}
+_SELECTION_CODES = {"eft": 0, "greedy": 1, "oct": 2, "pinned": 3, "lookahead": 4}
+
+
+def _place_native(
+    lib,
+    problem: SchedulingProblem,
+    comps: Components,
+    ctx: RankContext,
+    order: np.ndarray | None,
+) -> list[np.ndarray]:
+    """:func:`_place` as one ``list_schedule`` call: the same orders.
+
+    The kernel walks the graph's own CSR, in the order
+    :class:`PartialSchedule` walks it, and keeps its slot rows in the two
+    scratch arrays allocated here.
+    """
+    graph, n, m = problem.graph, problem.n, problem.m
+    et = np.ascontiguousarray(problem.expected_times, dtype=np.float64)
+    inv_rates = np.ascontiguousarray(problem.platform._inv_rates)
+    prio = np.ascontiguousarray(ctx.priorities, dtype=np.float64)
+    oct_table = pinned = None
+    if ctx.oct_table is not None:
+        oct_table = np.ascontiguousarray(ctx.oct_table, dtype=np.float64)
+    if comps.selection == "pinned":
+        pinned = np.zeros(n, dtype=np.int64)
+        pinned[sorted(ctx.cp_tasks)] = 1
+    ws_f = np.empty(2 * m * n + 2 * n, dtype=np.float64)
+    ws_i = np.empty(m * n + m + 3 * n + 2, dtype=np.int64)
+    rc = lib.list_schedule(
+        n,
+        m,
+        _ORDER_CODES[comps.order],
+        _SELECTION_CODES[comps.selection],
+        comps.insertion == "append",
+        ctx.cp_proc,
+        graph._pred_indptr.ctypes.data,
+        graph._pred_eidx.ctypes.data,
+        graph.edge_src.ctypes.data,
+        graph._succ_indptr.ctypes.data,
+        graph._succ_eidx.ctypes.data,
+        graph.edge_dst.ctypes.data,
+        graph.edge_data.ctypes.data,
+        inv_rates.ctypes.data,
+        et.ctypes.data,
+        None if order is None else order.ctypes.data,
+        prio.ctypes.data,
+        None if oct_table is None else oct_table.ctypes.data,
+        None if pinned is None else pinned.ctypes.data,
+        ws_f.ctypes.data,
+        ws_i.ctypes.data,
+    )
+    if rc:
+        task, pred = (int(x) for x in ws_i[-2:])
+        if rc == 1:
+            raise ValueError(
+                f"cannot query task {task}: predecessor {pred} not placed"
+            )
+        if rc == 3:
+            raise ValueError(f"task {task} already placed or out of range")
+        raise RuntimeError(f"{comps.order} order failed to place all tasks")
+    tasks = ws_i[: m * n].reshape(m, n)
+    counts = ws_i[m * n : m * n + m]
+    return [tasks[p, : counts[p]] for p in range(m)]
+
+
 class ComponentScheduler:
     """List scheduler assembled from a :class:`Components` tuple.
 
@@ -151,10 +299,11 @@ class ComponentScheduler:
                 obs.add(f"algebra.selection.{comps.selection}")
                 obs.add(f"algebra.insertion.{comps.insertion}")
                 obs.add(f"algebra.order.{comps.order}")
+            plan = problem
             if comps.selection == "padded":
                 # Plan the whole pipeline against q-quantile durations,
-                # then rebind the processor orders to the real problem.
-                proxy = SchedulingProblem(
+                # then bind the processor orders to the real problem.
+                plan = SchedulingProblem(
                     graph=problem.graph,
                     platform=problem.platform,
                     uncertainty=UncertaintyModel.deterministic(
@@ -162,78 +311,22 @@ class ComponentScheduler:
                     ),
                     name=f"{problem.name}@q{comps.q:g}",
                 )
-                planned = self._run(proxy, replace(comps, selection="eft"))
-                return Schedule(problem, [list(t) for t in planned.proc_orders])
-            return self._run(problem, comps)
+                comps = replace(comps, selection="eft")
+            return Schedule(problem, self._run(plan, comps))
 
     def _run(
         self, problem: SchedulingProblem, comps: Components
-    ) -> Schedule:
+    ) -> list[np.ndarray]:
+        """Per-processor task orders of *problem* under *comps*."""
         ctx = rank_context(comps, problem)
-        partial = PartialSchedule(
-            problem, append_only=(comps.insertion == "append")
-        )
-        select = _SELECTORS[comps.selection]
-
+        order = None
         if comps.order == "static":
             # HEFT's pass: one descending sort (ties to the smaller id).
             order = np.lexsort((np.arange(problem.n), -ctx.priorities))
-            for v in order:
-                v = int(v)
-                proc, _ = select(partial, v, ctx)
-                partial.place(v, proc)
-            return partial.to_schedule()
-
-        graph = problem.graph
-        indeg = graph.in_degree().astype(np.int64).copy()
-
-        if comps.order == "ready":
-            # CPOP/PEFT's pass: max-heap on priority over ready tasks.
-            prio = ctx.priorities
-            ready_heap = [
-                (-float(prio[v]), int(v)) for v in np.flatnonzero(indeg == 0)
-            ]
-            heapq.heapify(ready_heap)
-            placed = 0
-            while ready_heap:
-                _, v = heapq.heappop(ready_heap)
-                proc, _ = select(partial, v, ctx)
-                partial.place(v, proc)
-                placed += 1
-                for w in graph.successors(v):
-                    w = int(w)
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        heapq.heappush(ready_heap, (-float(prio[w]), w))
-            if placed != problem.n:  # pragma: no cover - graph is acyclic
-                raise RuntimeError("ready order failed to place all tasks")
-            return partial.to_schedule()
-
-        # Greedy orders (min-min's pass): the ranking is ignored; every
-        # step commits the ready task with the extreme selected finish.
-        maximize = comps.order == "greedy-maxeft"
-        ready = set(int(v) for v in np.flatnonzero(indeg == 0))
-        for _ in range(problem.n):
-            best: tuple[float, int, int] | None = None  # (fin, task, proc)
-            for v in sorted(ready):
-                proc, fin = select(partial, v, ctx)
-                better = (
-                    best is None
-                    or (fin > best[0] if maximize else fin < best[0])
-                )
-                if better:
-                    best = (fin, v, proc)
-            if best is None:  # pragma: no cover - graph is acyclic
-                raise RuntimeError("greedy order deadlocked: no ready task")
-            _, v, proc = best
-            partial.place(v, proc)
-            ready.discard(v)
-            for w in graph.successors(v):
-                w = int(w)
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.add(w)
-        return partial.to_schedule()
+        lib = _native.get_lib()
+        if lib is None:
+            return _place(problem, comps, ctx, order)
+        return _place_native(lib, problem, comps, ctx, order)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ComponentScheduler({self.components!r}, name={self.name!r})"

@@ -1,6 +1,6 @@
-"""Optional C acceleration for the batched longest-path and GA kernels.
+"""Optional C acceleration for the longest-path, GA and list-scheduling kernels.
 
-Five kernels live here:
+Six kernels live here:
 
 * **Batched makespans** (``ft_forward``): the Monte-Carlo hot loop reduces
   to one forward pass over the disjunctive graph with a wide realization
@@ -71,6 +71,35 @@ Five kernels live here:
 
   ``np_mean``, ``np_argmax`` and ``np_argmin`` are exported so
   ``tests/property/test_native_step.py`` can hold them to numpy.
+
+* **The list scheduler's placement loop** (``list_schedule``): the whole
+  loop of ``ComponentScheduler._run`` for every order (``static``,
+  ``ready``, ``greedy-eft``, ``greedy-maxeft``), every selection
+  (``eft``, ``greedy``, ``oct``, ``pinned``, ``lookahead``) and both
+  insertion policies, over the graph's pred/succ CSR, the expected-time
+  matrix and the inverse-rate matrix, with per-processor slot rows (start,
+  finish, task) in buffers the caller owns.  The rankings stay in numpy.
+  The Python loop over ``PartialSchedule`` is the reference, so the kernel
+  follows it exactly:
+
+  - an arrival is ``finish[u] + data[e] * inv[pu, p]``, the ready time the
+    first strictly later arrival from 0.0, in the in-edge order of the
+    graph's CSR;
+  - a gap fits when ``start + dur <= slot.start``, and a new slot goes at
+    the bisect-left position by start;
+  - processor ties go to the lowest index (strict ``<``); the ``greedy``
+    selection takes the first minimum, as ``np.argmin`` does;
+  - the ``ready`` order is ``heapq``'s own algorithm on ``(-priority,
+    id)``; the greedy orders scan the ready tasks by ascending id;
+  - the ``lookahead`` key is ``(worst evaluable child finish, own
+    finish)``, compared lexicographically with strict ``<``;
+  - an unplaced predecessor is return code 1, which the caller raises as
+    the Python path's ``ValueError``.
+
+  It keeps no static state: the service's fast-tier threads call it
+  concurrently, with the GIL released.
+  ``tests/property/test_native_list_schedule.py`` holds it to the Python
+  loop on every catalogue entry.
 
 The variation, walk and generation kernels draw from the caller's numpy
 ``Generator`` and must draw exactly what numpy would, so every seeded
@@ -991,6 +1020,378 @@ int64_t ga_run_step(ga_run_t *r, bitgen_t *bg, int64_t g, int64_t *stats)
     }
     return 0;
 }
+
+/* The list scheduler's placement loop (ComponentScheduler._run; the
+ * Python loop over PartialSchedule is the reference).  ls_t is one call's
+ * state, on the caller's stack; its slot rows live in caller-owned
+ * buffers. */
+enum { LS_STATIC = 0, LS_READY = 1, LS_GREEDY_EFT = 2, LS_GREEDY_MAXEFT = 3 };
+enum { LS_EFT = 0, LS_GREEDY = 1, LS_OCT = 2, LS_PINNED = 3, LS_LOOKAHEAD = 4 };
+
+typedef struct {
+    int64_t n, m, append, selection, cp_proc;
+    const int64_t *pred_indptr, *pred_eidx, *esrc;
+    const int64_t *succ_indptr, *succ_eidx, *edst;
+    const double *edata, *inv_rates, *et, *oct;
+    const int64_t *pinned;
+    double *start, *fin;   /* (m, n) slot rows, sorted by start */
+    int64_t *task, *count; /* (m, n) slot tasks, (m,) row lengths */
+    double *finish;        /* (n,) finish time of each placed task */
+    int64_t *proc_of;      /* (n,) processor of each task, -1 unplaced */
+} ls_t;
+
+/* PartialSchedule.eft: v's earliest (start, fin) on p.  The ready time is
+ * the latest arrival finish[u] + data * inv_rate over v's in-edges, from
+ * 0.0; the start is the first gap with start + dur <= slot start
+ * (insertion), else after the row's last finish.  Returns v's first
+ * unplaced predecessor, else -1. */
+static int64_t ls_eft(const ls_t *s, int64_t v, int64_t p,
+                      double *start, double *fin)
+{
+    int64_t m = s->m, cnt = s->count[p];
+    double ready = 0.0;
+    for (int64_t k = s->pred_indptr[v]; k < s->pred_indptr[v + 1]; k++) {
+        int64_t e = s->pred_eidx[k], u = s->esrc[e];
+        if (s->proc_of[u] < 0)
+            return u;
+        double arrival = s->finish[u]
+                         + s->edata[e] * s->inv_rates[s->proc_of[u] * m + p];
+        if (arrival > ready)
+            ready = arrival;
+    }
+    double dur = s->et[v * m + p], prev = 0.0;
+    const double *st = s->start + p * s->n, *fn = s->fin + p * s->n;
+    if (s->append) {
+        if (cnt)
+            prev = fn[cnt - 1];
+    } else {
+        for (int64_t i = 0; i < cnt; i++) {
+            double t = prev > ready ? prev : ready;
+            if (t + dur <= st[i]) {
+                *start = t;
+                *fin = t + dur;
+                return -1;
+            }
+            prev = fn[i];
+        }
+    }
+    *start = prev > ready ? prev : ready;
+    *fin = *start + dur;
+    return -1;
+}
+
+/* PartialSchedule.best_processor: the first processor of least finish. */
+static int64_t ls_best(const ls_t *s, int64_t v, int64_t *proc,
+                       double *start, double *fin)
+{
+    for (int64_t p = 0; p < s->m; p++) {
+        double st = 0.0, f = 0.0;
+        int64_t u = ls_eft(s, v, p, &st, &f);
+        if (u >= 0)
+            return u;
+        if (p == 0 || f < *fin) {
+            *proc = p;
+            *start = st;
+            *fin = f;
+        }
+    }
+    return -1;
+}
+
+/* PartialSchedule.place: the slot goes at the bisect-left position by
+ * start.  Each row holds at most n slots. */
+static void ls_place(ls_t *s, int64_t v, int64_t p, double start, double fin)
+{
+    int64_t n = s->n, cnt = s->count[p], lo = 0, hi = cnt;
+    double *st = s->start + p * n, *fn = s->fin + p * n;
+    int64_t *tk = s->task + p * n;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (st[mid] < start)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    memmove(st + lo + 1, st + lo, (cnt - lo) * sizeof(double));
+    memmove(fn + lo + 1, fn + lo, (cnt - lo) * sizeof(double));
+    memmove(tk + lo + 1, tk + lo, (cnt - lo) * sizeof(int64_t));
+    st[lo] = start;
+    fn[lo] = fin;
+    tk[lo] = v;
+    s->count[p] = cnt + 1;
+    s->finish[v] = fin;
+    s->proc_of[v] = p;
+}
+
+/* PartialSchedule.unplace, the exact inverse of ls_place. */
+static void ls_unplace(ls_t *s, int64_t v)
+{
+    int64_t n = s->n, p = s->proc_of[v], cnt = s->count[p], i = 0;
+    double *st = s->start + p * n, *fn = s->fin + p * n;
+    int64_t *tk = s->task + p * n;
+    while (tk[i] != v)
+        i++;
+    memmove(st + i, st + i + 1, (cnt - i - 1) * sizeof(double));
+    memmove(fn + i, fn + i + 1, (cnt - i - 1) * sizeof(double));
+    memmove(tk + i, tk + i + 1, (cnt - i - 1) * sizeof(int64_t));
+    s->count[p] = cnt - 1;
+    s->proc_of[v] = -1;
+}
+
+/* _select_lookahead: place v on each processor in turn, take the worst
+ * best finish over the children whose predecessors are then all placed
+ * (v's own finish when there is none), and keep the first processor of
+ * least (worst, own finish) key. */
+static int64_t ls_lookahead(ls_t *s, int64_t v, int64_t *proc,
+                            double *start, double *fin)
+{
+    double best = 0.0;
+    for (int64_t p = 0; p < s->m; p++) {
+        double st, f, worst = 0.0;
+        int64_t u = ls_eft(s, v, p, &st, &f), have = 0;
+        if (u >= 0)
+            return u;
+        ls_place(s, v, p, st, f);
+        for (int64_t k = s->succ_indptr[v]; k < s->succ_indptr[v + 1]; k++) {
+            int64_t w = s->edst[s->succ_eidx[k]], ready = 1, cp;
+            for (int64_t j = s->pred_indptr[w];
+                 ready && j < s->pred_indptr[w + 1]; j++)
+                ready = s->proc_of[s->esrc[s->pred_eidx[j]]] >= 0;
+            if (!ready)
+                continue;
+            double cs, cf = 0.0;
+            ls_best(s, w, &cp, &cs, &cf);
+            if (!have || cf > worst)
+                worst = cf;
+            have = 1;
+        }
+        ls_unplace(s, v);
+        double key = have ? worst : f;
+        if (p == 0 || key < best || (key == best && f < *fin)) {
+            best = key;
+            *proc = p;
+            *start = st;
+            *fin = f;
+        }
+    }
+    return -1;
+}
+
+/* The selection axis (the _select_* functions): v's processor and its
+ * (start, fin) there.  Returns v's first unplaced predecessor, else -1. */
+static int64_t ls_select(ls_t *s, int64_t v, int64_t *proc,
+                         double *start, double *fin)
+{
+    int64_t m = s->m;
+    if (s->selection == LS_GREEDY) {
+        *proc = np_argmin(s->et + v * m, m);
+        return ls_eft(s, v, *proc, start, fin);
+    }
+    if (s->selection == LS_OCT) {
+        double best = 0.0;
+        for (int64_t p = 0; p < m; p++) {
+            double st, f;
+            int64_t u = ls_eft(s, v, p, &st, &f);
+            if (u >= 0)
+                return u;
+            double score = f + s->oct[v * m + p];
+            if (p == 0 || score < best) {
+                best = score;
+                *proc = p;
+                *start = st;
+                *fin = f;
+            }
+        }
+        return -1;
+    }
+    if (s->selection == LS_PINNED && s->pinned[v]) {
+        *proc = s->cp_proc;
+        return ls_eft(s, v, s->cp_proc, start, fin);
+    }
+    if (s->selection == LS_LOOKAHEAD)
+        return ls_lookahead(s, v, proc, start, fin);
+    return ls_best(s, v, proc, start, fin);
+}
+
+/* heapq's order on (key, id) entries, key = -priority. */
+static int ls_heap_lt(double ka, int64_t ia, double kb, int64_t ib)
+{
+    return ka == kb ? ia < ib : ka < kb;
+}
+
+/* heapq._siftdown and heapq._siftup over parallel key and id arrays. */
+static void ls_siftdown(double *key, int64_t *id, int64_t start, int64_t pos)
+{
+    double nk = key[pos];
+    int64_t ni = id[pos];
+    while (pos > start) {
+        int64_t parent = (pos - 1) >> 1;
+        if (!ls_heap_lt(nk, ni, key[parent], id[parent]))
+            break;
+        key[pos] = key[parent];
+        id[pos] = id[parent];
+        pos = parent;
+    }
+    key[pos] = nk;
+    id[pos] = ni;
+}
+
+static void ls_siftup(double *key, int64_t *id, int64_t len, int64_t pos)
+{
+    int64_t start = pos, child = 2 * pos + 1;
+    double nk = key[pos];
+    int64_t ni = id[pos];
+    while (child < len) {
+        if (child + 1 < len
+            && !ls_heap_lt(key[child], id[child], key[child + 1],
+                           id[child + 1]))
+            child++;
+        key[pos] = key[child];
+        id[pos] = id[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    key[pos] = nk;
+    id[pos] = ni;
+    ls_siftdown(key, id, start, pos);
+}
+
+/* One list schedule: order_kind and selection take the LS_ codes above,
+ * append selects append-only slots.  The graph is the pred/succ CSR (as
+ * in ga_population_eval), et the (n, m) expected times, order the static
+ * order, prio the ready order's priorities, oct_table the (n, m) OCT
+ * table and pinned a 0/1 mask of the critical path for cp_proc; inputs
+ * the mode does not read may be NULL.  ws_f holds 2mn + 2n doubles and
+ * ws_i mn + m + 3n + 2 ints; on return ws_i starts with the (m, n) slot
+ * tasks and the m row lengths.  Returns 0; 1 when a task's predecessor
+ * is not placed (ws_i's last two entries get the task and the
+ * predecessor); 2 when the order leaves a task unplaced (a cycle); 3 when
+ * a static-order entry is out of range or repeated (the second to last
+ * entry gets it). */
+int64_t list_schedule(
+    int64_t n, int64_t m, int64_t order_kind, int64_t selection,
+    int64_t append, int64_t cp_proc,
+    const int64_t *pred_indptr, const int64_t *pred_eidx,
+    const int64_t *esrc,
+    const int64_t *succ_indptr, const int64_t *succ_eidx,
+    const int64_t *edst,
+    const double *edata, const double *inv_rates, const double *et,
+    const int64_t *order, const double *prio, const double *oct_table,
+    const int64_t *pinned, double *ws_f, int64_t *ws_i)
+{
+    ls_t s = {.n = n, .m = m, .append = append, .selection = selection,
+              .cp_proc = cp_proc, .pred_indptr = pred_indptr,
+              .pred_eidx = pred_eidx, .esrc = esrc,
+              .succ_indptr = succ_indptr, .succ_eidx = succ_eidx,
+              .edst = edst, .edata = edata, .inv_rates = inv_rates,
+              .et = et, .oct = oct_table, .pinned = pinned,
+              .start = ws_f, .fin = ws_f + m * n, .finish = ws_f + 2 * m * n,
+              .task = ws_i, .count = ws_i + m * n,
+              .proc_of = ws_i + m * n + m};
+    double *hkey = s.finish + n, st, f;
+    int64_t *indeg = s.proc_of + n, *list = indeg + n, *err = list + n;
+    int64_t len = 0, proc, u;
+    for (int64_t p = 0; p < m; p++)
+        s.count[p] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        s.proc_of[v] = -1;
+        indeg[v] = pred_indptr[v + 1] - pred_indptr[v];
+    }
+
+    if (order_kind == LS_STATIC) {
+        for (int64_t i = 0; i < n; i++) {
+            int64_t v = order[i];
+            if (v < 0 || v >= n || s.proc_of[v] >= 0) {
+                err[0] = v;
+                return 3;
+            }
+            if ((u = ls_select(&s, v, &proc, &st, &f)) >= 0) {
+                err[0] = v;
+                err[1] = u;
+                return 1;
+            }
+            ls_place(&s, v, proc, st, f);
+        }
+        return 0;
+    }
+
+    if (order_kind == LS_READY) {
+        /* heapq over (-priority, id): heapify the entry tasks, then pop
+         * and push as the Python loop does. */
+        int64_t placed = 0;
+        for (int64_t v = 0; v < n; v++)
+            if (!indeg[v]) {
+                hkey[len] = -prio[v];
+                list[len++] = v;
+            }
+        for (int64_t i = len / 2 - 1; i >= 0; i--)
+            ls_siftup(hkey, list, len, i);
+        while (len) {
+            int64_t v = list[0];
+            if (--len) {
+                hkey[0] = hkey[len];
+                list[0] = list[len];
+                ls_siftup(hkey, list, len, 0);
+            }
+            if ((u = ls_select(&s, v, &proc, &st, &f)) >= 0) {
+                err[0] = v;
+                err[1] = u;
+                return 1;
+            }
+            ls_place(&s, v, proc, st, f);
+            placed++;
+            for (int64_t k = succ_indptr[v]; k < succ_indptr[v + 1]; k++) {
+                int64_t w = edst[succ_eidx[k]];
+                if (!--indeg[w]) {
+                    hkey[len] = -prio[w];
+                    list[len] = w;
+                    ls_siftdown(hkey, list, 0, len++);
+                }
+            }
+        }
+        return placed == n ? 0 : 2;
+    }
+
+    /* The greedy orders: scan the ready tasks by ascending id (list stays
+     * sorted) and commit the first of least (or greatest) finish. */
+    int maximize = order_kind == LS_GREEDY_MAXEFT;
+    for (int64_t v = 0; v < n; v++)
+        if (!indeg[v])
+            list[len++] = v;
+    for (int64_t step = 0; step < n; step++) {
+        int64_t bi = 0, bp = 0;
+        double bs = 0.0, bf = 0.0;
+        if (!len)
+            return 2;
+        for (int64_t i = 0; i < len; i++) {
+            if ((u = ls_select(&s, list[i], &proc, &st, &f)) >= 0) {
+                err[0] = list[i];
+                err[1] = u;
+                return 1;
+            }
+            if (i == 0 || (maximize ? f > bf : f < bf)) {
+                bi = i;
+                bp = proc;
+                bs = st;
+                bf = f;
+            }
+        }
+        int64_t v = list[bi];
+        ls_place(&s, v, bp, bs, bf);
+        len--;
+        memmove(list + bi, list + bi + 1, (len - bi) * sizeof(int64_t));
+        for (int64_t k = succ_indptr[v]; k < succ_indptr[v + 1]; k++) {
+            int64_t w = edst[succ_eidx[k]], j = len;
+            if (--indeg[w])
+                continue;
+            for (; j > 0 && list[j - 1] > w; j--)
+                list[j] = list[j - 1];
+            list[j] = w;
+            len++;
+        }
+    }
+    return 0;
+}
 """
 
 _lib: ctypes.CDLL | None = None
@@ -1136,6 +1537,8 @@ def _load() -> ctypes.CDLL | None:
     lib.ga_run_step.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
     ]
+    lib.list_schedule.restype = ctypes.c_int64
+    lib.list_schedule.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 15
     return lib
 
 

@@ -28,8 +28,9 @@ Everything not needed by the GA decode→evaluate hot loop — CSR indexes,
 the canonical topological order, the batched relaxation plans — is built
 lazily on first use and cached (the structure is immutable).
 
-The original per-node passes are retained as ``*_reference`` methods; the
-equivalence suite checks that all implementations agree bit-for-bit.
+The original per-node passes live on in
+``tests/unit/test_kernel_equivalence.py`` as the reference that every
+implementation must match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ class ArrayDag:
     topo:
         A valid deterministic topological order (``(n,)`` permutation),
         computed lazily on first access (the level-synchronous kernels do
-        not need it; the reference kernels and ``Schedule.linear_order``
-        do).
+        not need it; ``Schedule.linear_order`` does).
     """
 
     __slots__ = (
@@ -602,43 +602,6 @@ class ArrayDag:
             r += nwp[n0:n1]
             bl[nodes] = r
         return np.ascontiguousarray(bl.T).reshape(*batch_shape, self.n)
-
-    # ------------------------------------------------------------------ #
-    # Reference kernels (per-node passes, kept for equivalence testing)
-    # ------------------------------------------------------------------ #
-
-    def top_levels_reference(
-        self, node_w: np.ndarray, edge_w: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-node reference implementation of :meth:`top_levels`."""
-        node_w, edge_w = self._check_weights(node_w, edge_w)
-        tl = np.zeros(node_w.shape, dtype=np.float64)
-        for v in self.topo:
-            v = int(v)
-            eidx = self.pred_edges(v)
-            if eidx.size == 0:
-                continue
-            src = self.edge_src[eidx]
-            # (..., k) candidate path lengths through each predecessor.
-            cand = tl[..., src] + node_w[..., src] + edge_w[eidx]
-            tl[..., v] = cand.max(axis=-1)
-        return tl
-
-    def bottom_levels_reference(
-        self, node_w: np.ndarray, edge_w: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-node reference implementation of :meth:`bottom_levels`."""
-        node_w, edge_w = self._check_weights(node_w, edge_w)
-        bl = np.array(node_w, dtype=np.float64, copy=True)
-        for v in self.topo[::-1]:
-            v = int(v)
-            eidx = self.succ_edges(v)
-            if eidx.size == 0:
-                continue
-            dst = self.edge_dst[eidx]
-            cand = bl[..., dst] + edge_w[eidx]
-            bl[..., v] = node_w[..., v] + cand.max(axis=-1)
-        return bl
 
     # ------------------------------------------------------------------ #
     # Derived quantities

@@ -187,15 +187,18 @@ class PartialSchedule:
     # Export
     # ------------------------------------------------------------------ #
 
+    def proc_orders(self) -> list[np.ndarray]:
+        """The placed tasks of every processor, by start time."""
+        return [
+            np.asarray([s.task for s in row], dtype=np.int64) for row in self.slots
+        ]
+
     def to_schedule(self) -> Schedule:
         """Freeze into a :class:`Schedule` (all tasks must be placed)."""
         if np.any(self.proc_of < 0):
             missing = np.flatnonzero(self.proc_of < 0)
             raise ValueError(f"tasks not yet placed: {missing.tolist()}")
-        orders = [
-            np.asarray([s.task for s in row], dtype=np.int64) for row in self.slots
-        ]
-        return Schedule(self.problem, orders)
+        return Schedule(self.problem, self.proc_orders())
 
 
 def average_execution_times(problem: SchedulingProblem) -> np.ndarray:

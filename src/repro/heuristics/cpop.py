@@ -30,15 +30,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CpopScheduler", "critical_path_tasks"]
 
 
-def critical_path_tasks(problem: SchedulingProblem) -> list[int]:
+def critical_path_tasks(
+    problem: SchedulingProblem, prio: np.ndarray | None = None
+) -> list[int]:
     """Tasks on the average-weight critical path, traced by priority.
 
     Starting at the entry task with maximal ``rank_u + rank_d``, repeatedly
     step to the successor of highest priority until an exit task is
-    reached — the CPOP construction.
+    reached — the CPOP construction.  *prio* is that priority vector when
+    the caller already has it (the ``cp`` ranking does).
     """
     graph = problem.graph
-    prio = upward_ranks(problem) + downward_ranks(problem)
+    if prio is None:
+        prio = upward_ranks(problem) + downward_ranks(problem)
     entries = graph.entry_nodes
     v = int(entries[np.argmax(prio[entries])])
     path = [v]

@@ -44,16 +44,12 @@ def optimistic_cost_table(problem: SchedulingProblem) -> np.ndarray:
         eidx = graph.successor_edge_indices(v)
         if eidx.size == 0:
             continue
-        best = np.zeros((eidx.size, m), dtype=np.float64)
-        for k, e in enumerate(eidx):
-            s = int(graph.edge_dst[e])
-            # cost[q] of running successor s on q, seen from each p:
-            # OCT(s,q) + w(s,q) + comm if p != q.
-            base = oct_table[s] + w[s]  # (m,)
-            # (p, q) matrix; min over q per p.
-            cand = base[None, :] + cbar[e] * not_eye
-            best[k] = cand.min(axis=1)
-        oct_table[v] = best.max(axis=0)
+        succ = graph.edge_dst[eidx]
+        # cost[k, p, q] of running successor k on q, seen from p:
+        # OCT(s,q) + w(s,q) + comm if p != q; min over q, max over k.
+        base = oct_table[succ] + w[succ]  # (k, m)
+        cand = base[:, None, :] + cbar[eidx][:, None, None] * not_eye
+        oct_table[v] = cand.min(axis=2).max(axis=0)
     return oct_table
 
 
