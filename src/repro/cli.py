@@ -26,7 +26,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.experiments.config import PAPER_ULS, SCALES, ExperimentConfig
 from repro.service.protocol import SOLVERS
@@ -52,634 +53,111 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _trace_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+class Option(NamedTuple):
+    """One ``add_argument`` call: its option strings and keywords."""
+
+    flags: tuple[str, ...]
+    kwargs: Mapping[str, Any]
+
+
+def _opt(*flags: str, **kwargs: Any) -> Option:
+    return Option(flags, kwargs)
+
+
+#: Options that several verbs take, each declared once.  A verb names
+#: the ones it takes (see :data:`VERBS`) and may give one its own default.
+SHARED: dict[str, Option] = {
+    "scale": _opt(
+        "--scale",
+        choices=sorted(SCALES),
+        default="medium",
+        help="experiment scale preset (default: %(default)s)",
+    ),
+    "seed": _opt(
+        "--seed",
+        type=int,
+        default=42,
+        help="root seed of every random stream (default: %(default)s)",
+    ),
+    "tasks": _opt(
+        "--tasks",
+        type=_positive_int,
+        default=50,
+        help="tasks per instance (default: %(default)s)",
+    ),
+    "procs": _opt(
+        "--procs",
+        type=_positive_int,
+        default=4,
+        help="number of processors (default: %(default)s)",
+    ),
+    "ul": _opt(
+        "--ul",
+        type=float,
+        default=2.0,
+        help="mean uncertainty level (default: %(default)s)",
+    ),
+    "epsilon": _opt(
+        "--epsilon",
+        type=float,
+        default=1.0,
+        help="robust GA eps budget, a multiple of M_HEFT (default: %(default)s)",
+    ),
+    "realizations": _opt(
+        "--realizations",
+        type=_positive_int,
+        default=500,
+        help="Monte-Carlo realizations (per cell in a grid; "
+        "default: %(default)s)",
+    ),
+    "instances": _opt(
+        "--instances",
+        type=_positive_int,
+        default=1,
+        help="instances to average over (per graph family in algo-grid; "
+        "default: %(default)s)",
+    ),
+    "workers": _opt(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="worker processes (default: %(default)s, in-process); results "
+        "are identical for any value, and crashed or hung workers are "
+        "detected and their tasks retried",
+    ),
+    "quiet": _opt("--quiet", action="store_true", help="suppress progress output"),
+    "ga_iterations": _opt(
+        "--ga-iterations",
+        type=_positive_int,
+        default=80,
+        help="GA generations (default: %(default)s)",
+    ),
+    "ga_population": _opt(
+        "--ga-population",
+        type=_positive_int,
+        default=20,
+        help="GA population size (default: %(default)s)",
+    ),
+    "host": _opt(
+        "--host",
+        default="127.0.0.1",
+        help="service address (default: %(default)s)",
+    ),
+    "port": _opt(
+        "--port",
+        type=int,
+        default=8642,
+        help="service TCP port (default: %(default)s; serve takes 0 to pick "
+        "a free one and announces it on stderr)",
+    ),
+    "trace": _opt(
         "--trace",
         metavar="PATH",
         default=None,
         help="write a JSONL observability trace (spans, events, metrics) "
         "of the whole run to PATH; inspect with 'repro trace-summary'",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro-sched",
-        description=(
-            "Reproduce 'Robust task scheduling in non-deterministic "
-            "heterogeneous computing systems' (CLUSTER 2006)"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--scale",
-            choices=sorted(SCALES),
-            default="medium",
-            help="experiment scale preset (default: medium)",
-        )
-        p.add_argument(
-            "--seed", type=int, default=None, help="root seed (default: config default)"
-        )
-        p.add_argument(
-            "--uls",
-            type=float,
-            nargs="+",
-            default=list(PAPER_ULS),
-            help="uncertainty levels to sweep (default: 2 4 6 8)",
-        )
-        p.add_argument(
-            "--quiet", action="store_true", help="suppress progress output"
-        )
-        p.add_argument(
-            "--workers",
-            "--jobs",
-            dest="workers",
-            type=_positive_int,
-            default=1,
-            help="cluster worker processes (figs 2-8; results are identical "
-            "for any value; crashed or hung workers are detected and their "
-            "cells retried)",
-        )
-        p.add_argument(
-            "--checkpoint",
-            default=None,
-            help="JSONL journal of finished cells for crash recovery "
-            "(figs 2-8; default with --resume: "
-            "results/checkpoints/<command>-<scale>-seed<seed>.jsonl)",
-        )
-        p.add_argument(
-            "--resume",
-            action="store_true",
-            help="skip cells already journaled in the checkpoint; restored "
-            "cells are bit-identical to recomputed ones (figs 2-8)",
-        )
-        _trace_arg(p)
-
-    for fig, help_text in [
-        ("fig2", "GA evolution, minimizing makespan (Sec. 5.1)"),
-        ("fig3", "GA evolution, maximizing slack (Sec. 5.1)"),
-        ("fig4", "improvement over HEFT at eps = 1.0 (Sec. 5.2)"),
-        ("fig5", "R1 improvement vs eps (Sec. 5.2)"),
-        ("fig6", "R2 improvement vs eps (Sec. 5.2)"),
-        ("fig7", "best eps for overall performance, R1 (Sec. 5.2)"),
-        ("fig8", "best eps for overall performance, R2 (Sec. 5.2)"),
-    ]:
-        p = sub.add_parser(fig, help=help_text)
-        common(p)
-
-    def instance_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=42, help="instance seed")
-        p.add_argument(
-            "--tasks", type=_positive_int, default=50, help="number of tasks"
-        )
-        p.add_argument(
-            "--procs", type=_positive_int, default=4, help="number of processors"
-        )
-        p.add_argument(
-            "--ul", type=float, default=2.0, help="mean uncertainty level"
-        )
-        _trace_arg(p)
-
-    solve = sub.add_parser("solve", help="solve one random instance end-to-end")
-    instance_args(solve)
-    solve.add_argument("--epsilon", type=float, default=1.0, help="eps budget")
-    solve.add_argument(
-        "--realizations",
-        type=_positive_int,
-        default=500,
-        help="Monte-Carlo realizations",
-    )
-
-    compare = sub.add_parser(
-        "compare", help="run every scheduler on one instance and compare"
-    )
-    instance_args(compare)
-    compare.add_argument(
-        "--realizations",
-        type=_positive_int,
-        default=500,
-        help="Monte-Carlo realizations",
-    )
-
-    gantt = sub.add_parser("gantt", help="render a schedule as an ASCII Gantt chart")
-    instance_args(gantt)
-    gantt.add_argument(
-        "--scheduler",
-        choices=("heft", "cpop", "peft", "minmin", "robust"),
-        default="robust",
-        help="which scheduler's result to draw",
-    )
-    gantt.add_argument("--epsilon", type=float, default=1.2, help="robust GA budget")
-    gantt.add_argument("--width", type=int, default=78, help="chart width")
-
-    pareto = sub.add_parser(
-        "pareto", help="approximate the makespan/slack Pareto front with NSGA-II"
-    )
-    instance_args(pareto)
-    pareto.add_argument(
-        "--iterations", type=int, default=150, help="NSGA-II generations"
-    )
-
-    export = sub.add_parser(
-        "export", help="generate an instance and write it (and its HEFT schedule)"
-    )
-    instance_args(export)
-    export.add_argument(
-        "--out", default="instance.json", help="output problem JSON path"
-    )
-    export.add_argument(
-        "--dot", default=None, help="also write the task graph as DOT here"
-    )
-
-    zoo = sub.add_parser(
-        "zoo", help="compare the whole scheduler zoo over the instance pool"
-    )
-    common(zoo)
-    zoo.add_argument(
-        "--zoo-ul", type=float, default=4.0, help="uncertainty level for the zoo"
-    )
-    zoo.add_argument(
-        "--no-dynamic",
-        action="store_true",
-        help="skip the (slow) online-MCT dynamic baseline",
-    )
-
-    sens = sub.add_parser(
-        "sensitivity",
-        help="sweep a generator parameter and report the eps=1.0 gain",
-    )
-    common(sens)
-    sens.add_argument(
-        "--parameter", choices=("ccr", "alpha", "m"), default="ccr"
-    )
-    sens.add_argument(
-        "--values", type=float, nargs="+", default=[0.1, 0.5, 1.0]
-    )
-    sens.add_argument(
-        "--sens-ul", type=float, default=4.0, help="fixed uncertainty level"
-    )
-
-    faults = sub.add_parser(
-        "faults",
-        help="assess schedulers under injected fault scenarios "
-        "(see docs/faults.md)",
-    )
-    instance_args(faults)
-    faults.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME_OR_PATH",
-        help="builtin scenario name or a JSON/YAML spec path; repeatable "
-        "(default: every builtin; see --list-scenarios)",
-    )
-    faults.add_argument(
-        "--epsilon", type=float, default=1.4, help="robust GA eps budget"
-    )
-    faults.add_argument(
-        "--realizations",
-        type=_positive_int,
-        default=200,
-        help="Monte-Carlo realizations per cell (default: 200)",
-    )
-    faults.add_argument(
-        "--instances",
-        type=_positive_int,
-        default=1,
-        help="instances to average over (default: 1)",
-    )
-    faults.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="cluster worker processes for the instance fan-out "
-        "(results are identical for any value)",
-    )
-    faults.add_argument(
-        "--policies",
-        nargs="+",
-        choices=("rerun-static", "repair", "dynamic"),
-        default=["rerun-static", "repair", "dynamic"],
-        help="reactive policies to grid over (default: all three)",
-    )
-    faults.add_argument(
-        "--ga-iterations",
-        type=_positive_int,
-        default=80,
-        help="robust GA generations (default: 80)",
-    )
-    faults.add_argument(
-        "--ga-population",
-        type=_positive_int,
-        default=20,
-        help="robust GA population size (default: 20)",
-    )
-    faults.add_argument(
-        "--list-scenarios",
-        action="store_true",
-        help="print the builtin scenario library and exit",
-    )
-    faults.add_argument(
-        "--quiet", action="store_true", help="suppress progress output"
-    )
-
-    energy = sub.add_parser(
-        "energy",
-        help="energy/replication frontier study: HEFT vs robust GA vs "
-        "energy GA (see docs/energy.md)",
-    )
-    instance_args(energy)
-    energy.add_argument(
-        "--epsilons",
-        type=float,
-        nargs="+",
-        default=[1.0, 1.3, 1.6],
-        help="makespan budgets as multiples of M_HEFT (default: 1.0 1.3 1.6)",
-    )
-    energy.add_argument(
-        "--slack-ratio",
-        type=float,
-        default=0.5,
-        help="reliability floor R as a fraction of HEFT's average slack "
-        "(default: 0.5; must be <= 1 so HEFT keeps every cell feasible)",
-    )
-    energy.add_argument(
-        "--power",
-        choices=("default", "uniform", "null"),
-        default="default",
-        help="power model: 'default' heterogeneous with DVFS levels, "
-        "'uniform' identical processors, 'null' zero power (degenerates "
-        "to the paper's slack GA; default: default)",
-    )
-    energy.add_argument(
-        "--k",
-        type=int,
-        default=1,
-        help="permanent processor failures the replication plan must "
-        "tolerate (0 skips replication; default: 1)",
-    )
-    energy.add_argument(
-        "--deadline-factor",
-        type=float,
-        default=4.0,
-        help="replication deadline as a multiple of M_HEFT (default: 4)",
-    )
-    energy.add_argument(
-        "--realizations",
-        type=_positive_int,
-        default=200,
-        help="Monte-Carlo realizations per cell (default: 200)",
-    )
-    energy.add_argument(
-        "--replication-realizations",
-        type=_positive_int,
-        default=10,
-        help="realizations per failure subset in survival verification "
-        "(default: 10)",
-    )
-    energy.add_argument(
-        "--instances",
-        type=_positive_int,
-        default=1,
-        help="instances to average over (default: 1)",
-    )
-    energy.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="cluster worker processes for the instance fan-out "
-        "(results are identical for any value)",
-    )
-    energy.add_argument(
-        "--ga-iterations",
-        type=_positive_int,
-        default=80,
-        help="GA generations (default: 80)",
-    )
-    energy.add_argument(
-        "--ga-population",
-        type=_positive_int,
-        default=20,
-        help="GA population size (default: 20)",
-    )
-    energy.add_argument(
-        "--quiet", action="store_true", help="suppress progress output"
-    )
-
-    algo = sub.add_parser(
-        "algo-grid",
-        help="sweep the component-algebra scheduler catalogue across "
-        "graph families (see docs/algorithms.md)",
-    )
-    instance_args(algo)
-    algo.add_argument(
-        "--combos",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="catalogue combinations to sweep (default: all; "
-        "see --list-combos)",
-    )
-    algo.add_argument(
-        "--families",
-        nargs="+",
-        default=list(ALGO_FAMILIES),
-        choices=ALGO_FAMILIES,
-        help="graph families to draw instances from (default: all)",
-    )
-    algo.add_argument(
-        "--instances",
-        type=_positive_int,
-        default=3,
-        help="instances per family (default: 3)",
-    )
-    algo.add_argument(
-        "--realizations",
-        type=_positive_int,
-        default=200,
-        help="Monte-Carlo realizations per cell (default: 200)",
-    )
-    algo.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker processes (default: in-process; results are "
-        "bit-identical for any value)",
-    )
-    algo.add_argument(
-        "--rank-by",
-        choices=("makespan", "r1", "r2"),
-        default="makespan",
-        help="ranking criterion for the summary table (default: makespan)",
-    )
-    algo.add_argument(
-        "--list-combos",
-        action="store_true",
-        help="print the scheduler catalogue and exit",
-    )
-    algo.add_argument(
-        "--quiet", action="store_true", help="suppress progress output"
-    )
-
-    stream = sub.add_parser(
-        "stream",
-        help="run a streaming oversubscribed workload with shedding "
-        "policies (see docs/stream.md)",
-    )
-    stream.add_argument("--seed", type=int, default=0, help="workload seed")
-    stream.add_argument(
-        "--stream-jobs",
-        type=_positive_int,
-        default=40,
-        help="DAG jobs in the arrival stream (default: 40)",
-    )
-    stream.add_argument(
-        "--tasks", type=_positive_int, default=24, help="tasks per job"
-    )
-    stream.add_argument(
-        "--procs",
-        type=_positive_int,
-        default=4,
-        help="shared-platform processors",
-    )
-    stream.add_argument(
-        "--ul", type=float, default=2.0, help="mean uncertainty level per job"
-    )
-    stream.add_argument(
-        "--load",
-        type=float,
-        default=1.5,
-        help="offered load relative to capacity; >1 oversubscribes "
-        "(default: 1.5)",
-    )
-    stream.add_argument(
-        "--arrival",
-        choices=("poisson", "mmpp"),
-        default="poisson",
-        help="arrival process (mmpp = two-state bursty)",
-    )
-    stream.add_argument(
-        "--burstiness",
-        type=float,
-        default=4.0,
-        help="mmpp fast/slow rate ratio (default: 4)",
-    )
-    stream.add_argument(
-        "--deadline-factor",
-        type=float,
-        default=3.0,
-        help="deadline = arrival + factor x isolated expected makespan",
-    )
-    stream.add_argument(
-        "--policy",
-        choices=("none", "prune", "drop"),
-        default="none",
-        help="shedding policy for a single run (default: none)",
-    )
-    stream.add_argument(
-        "--grid",
-        action="store_true",
-        help="sweep the policy x load grid through repro.cluster instead "
-        "of one run (see --loads/--policies/--workers)",
-    )
-    stream.add_argument(
-        "--loads",
-        type=float,
-        nargs="+",
-        default=None,
-        help="grid load levels (default: 0.5 1.0 1.5 2.0)",
-    )
-    stream.add_argument(
-        "--policies",
-        nargs="+",
-        choices=("none", "prune", "drop"),
-        default=None,
-        help="grid policies (default: all three)",
-    )
-    stream.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="cluster worker processes for the grid fan-out "
-        "(results are identical for any value)",
-    )
-    stream.add_argument(
-        "--quiet", action="store_true", help="suppress progress output"
-    )
-    _trace_arg(stream)
-
-    serve = sub.add_parser(
-        "serve", help="run the scheduler service daemon (see docs/service.md)"
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8642,
-        help="TCP port (0 picks a free one; it is announced on stderr)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="GA executor slots (>1 uses the repro.cluster process pool)",
-    )
-    serve.add_argument(
-        "--ga-queue-limit",
-        type=int,
-        default=8,
-        help="GA requests allowed to wait; the excess is shed to the "
-        "degraded heuristic tier (default: 8)",
-    )
-    serve.add_argument(
-        "--admission",
-        choices=("tiered", "stream"),
-        default="tiered",
-        help="GA admission mode: 'tiered' sheds on the EWMA wait point "
-        "estimate, 'stream' on the probabilistic on-time-start test "
-        "(default: tiered; see docs/stream.md)",
-    )
-    serve.add_argument(
-        "--stream-threshold",
-        type=float,
-        default=0.5,
-        help="stream admission: shed GA requests whose on-time start "
-        "probability is below this (default: 0.5)",
-    )
-    serve.add_argument(
-        "--cache-mb",
-        type=float,
-        default=64.0,
-        help="result cache budget in MiB (default: 64)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        help="scheduler-worker shards; >1 runs the sharded deployment "
-        "(a coordinator consistent-hashes requests across the shards; "
-        "default: 1, the classic single-node daemon)",
-    )
-    serve.add_argument(
-        "--transport",
-        choices=("inproc", "tcp"),
-        default="tcp",
-        help="shard transport when --shards > 1: 'tcp' forks one OS "
-        "process per shard (real parallelism), 'inproc' keeps them in "
-        "the coordinator's event loop (default: tcp)",
-    )
-    serve.add_argument(
-        "--steal-margin",
-        type=_positive_int,
-        default=1,
-        help="sharded only: GA backlog difference before work stealing "
-        "kicks in (default: 1)",
-    )
-    serve.add_argument(
-        "--quiet", action="store_true", help="suppress lifecycle output"
-    )
-    _trace_arg(serve)
-
-    submit = sub.add_parser(
-        "submit", help="send one request to a running scheduler service"
-    )
-    submit.add_argument("--host", default="127.0.0.1", help="server address")
-    submit.add_argument("--port", type=int, default=8642, help="server port")
-    submit.add_argument(
-        "--op",
-        choices=("solve", "status", "ping", "shutdown"),
-        default="solve",
-        help="request to send (default: solve)",
-    )
-    submit.add_argument(
-        "--problem",
-        default=None,
-        help="problem JSON file ('repro export' output); omitted: generate "
-        "an instance from --seed/--tasks/--procs/--ul",
-    )
-    submit.add_argument("--seed", type=int, default=42, help="instance + solver seed")
-    submit.add_argument(
-        "--tasks", type=_positive_int, default=50, help="generated-instance tasks"
-    )
-    submit.add_argument(
-        "--procs", type=_positive_int, default=4, help="generated-instance processors"
-    )
-    submit.add_argument(
-        "--ul", type=float, default=2.0, help="generated-instance uncertainty level"
-    )
-    submit.add_argument(
-        "--solver",
-        choices=SOLVERS,
-        default="ga",
-        help="which solver to request (every non-GA name is fast-tier, "
-        "including the component-algebra catalogue; see docs/algorithms.md)",
-    )
-    submit.add_argument("--epsilon", type=float, default=1.0, help="GA eps budget")
-    submit.add_argument(
-        "--realizations",
-        type=_positive_int,
-        default=500,
-        help="Monte-Carlo realizations",
-    )
-    submit.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="queue-wait deadline in seconds; a GA request predicted to "
-        "wait longer is shed to the heuristic tier",
-    )
-    submit.add_argument(
-        "--ga-iterations",
-        type=_positive_int,
-        default=None,
-        help="override GAParams.max_iterations for this request",
-    )
-    submit.add_argument(
-        "--ga-stagnation",
-        type=_positive_int,
-        default=None,
-        help="override GAParams.stagnation_limit for this request",
-    )
-    submit.add_argument(
-        "--ga-population",
-        type=_positive_int,
-        default=None,
-        help="override GAParams.population_size for this request",
-    )
-    submit.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="allow the server to seed a GA solve from previously solved "
-        "near-match problems (default: on; --no-warm-start disables)",
-    )
-    submit.add_argument(
-        "--retry-s",
-        type=float,
-        default=5.0,
-        help="keep retrying the connection this long (default: 5)",
-    )
-    submit.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw response JSON instead of a summary",
-    )
-
-    tsum = sub.add_parser(
-        "trace-summary",
-        help="render a human-readable summary of a --trace JSONL file",
-    )
-    tsum.add_argument("path", help="trace file written by --trace")
-    tsum.add_argument(
-        "--top",
-        type=_positive_int,
-        default=5,
-        help="histograms to show in full (default: 5)",
-    )
-    return parser
+    ),
+}
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -687,21 +165,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     return ExperimentConfig(**kwargs)
-
-
-def _cluster_kwargs(args: argparse.Namespace, config: ExperimentConfig) -> dict:
-    """Execution knobs shared by every figure driver (repro.cluster)."""
-    checkpoint = args.checkpoint
-    if checkpoint is None and args.resume:
-        checkpoint = (
-            f"results/checkpoints/{args.command}-{config.scale.name}"
-            f"-seed{config.seed}.jsonl"
-        )
-    return {
-        "n_jobs": args.workers,
-        "checkpoint": checkpoint,
-        "resume": args.resume,
-    }
 
 
 def _progress(args: argparse.Namespace):
@@ -727,6 +190,65 @@ def _instance(args: argparse.Namespace):
         uncertainty_params=UncertaintyParams(mean_ul=args.ul),
         rng=args.seed,
     )
+
+
+def _run_figure(args: argparse.Namespace) -> str:
+    """Figs. 2-8: one paper experiment on the cluster engine, as a table."""
+    config = _config(args)
+    checkpoint = args.checkpoint
+    if checkpoint is None and args.resume:
+        checkpoint = (
+            f"results/checkpoints/{args.command}-{config.scale.name}"
+            f"-seed{config.seed}.jsonl"
+        )
+    uls = tuple(args.uls)
+    kwargs = {
+        "progress": _progress(args),
+        "n_jobs": args.workers,
+        "checkpoint": checkpoint,
+        "resume": args.resume,
+    }
+    fig = args.command
+    if fig in ("fig2", "fig3"):
+        from repro.experiments.slack_effect import run_slack_effect
+
+        objective = "makespan" if fig == "fig2" else "slack"
+        return run_slack_effect(config, objective, uls, **kwargs).to_table()
+    if fig == "fig4":
+        from repro.experiments.eps_one import run_eps_one
+
+        return run_eps_one(config, uls, **kwargs).to_table()
+    which = "r1" if fig in ("fig5", "fig7") else "r2"
+    if fig in ("fig5", "fig6"):
+        from repro.experiments.eps_sweep import run_eps_sweep
+
+        return run_eps_sweep(config, uls, **kwargs).to_table(which)
+    from repro.experiments.best_eps import run_best_eps
+
+    return run_best_eps(config, uls, **kwargs).to_table(which)
+
+
+def _run_zoo(args: argparse.Namespace) -> str:
+    from repro.experiments.zoo import run_zoo
+
+    return run_zoo(
+        _config(args),
+        args.zoo_ul,
+        include_dynamic=not args.no_dynamic,
+        progress=_progress(args),
+    ).to_table()
+
+
+def _run_sensitivity(args: argparse.Namespace) -> str:
+    from repro.experiments.sensitivity import run_sensitivity
+
+    return run_sensitivity(
+        _config(args),
+        args.parameter,
+        tuple(args.values),
+        mean_ul=args.sens_ul,
+        progress=_progress(args),
+    ).to_table()
 
 
 def _run_solve(args: argparse.Namespace) -> str:
@@ -833,11 +355,31 @@ def _run_export(args: argparse.Namespace) -> str:
     return "\n".join(messages)
 
 
-def _run_faults(args: argparse.Namespace) -> str:
+def _grid_config(args: argparse.Namespace):
+    """The experiment config and GA parameters of a faults or energy grid."""
     from repro.experiments.config import Scale
+    from repro.ga.engine import GAParams
+
+    stagnation = max(args.ga_iterations // 4, 1)
+    scale = Scale(
+        name=f"cli-{args.command}",
+        n_graphs=args.instances,
+        n_realizations=args.realizations,
+        n_tasks=args.tasks,
+        ga_max_iterations=args.ga_iterations,
+        ga_stagnation=stagnation,
+    )
+    ga_params = GAParams(
+        population_size=args.ga_population,
+        max_iterations=args.ga_iterations,
+        stagnation_limit=stagnation,
+    )
+    return ExperimentConfig(scale=scale, m=args.procs, seed=args.seed), ga_params
+
+
+def _run_faults(args: argparse.Namespace) -> str:
     from repro.experiments.fault_grid import run_fault_grid
     from repro.faults import BUILTIN_SCENARIOS, resolve_scenario
-    from repro.ga.engine import GAParams
 
     if args.list_scenarios:
         lines = ["builtin fault scenarios:"]
@@ -861,20 +403,7 @@ def _run_faults(args: argparse.Namespace) -> str:
             strategies.append(("heft", policy))
             strategies.append(("robust-ga", policy))
 
-    scale = Scale(
-        name="cli-faults",
-        n_graphs=args.instances,
-        n_realizations=args.realizations,
-        n_tasks=args.tasks,
-        ga_max_iterations=args.ga_iterations,
-        ga_stagnation=max(args.ga_iterations // 4, 1),
-    )
-    config = ExperimentConfig(scale=scale, m=args.procs, seed=args.seed)
-    ga_params = GAParams(
-        population_size=args.ga_population,
-        max_iterations=args.ga_iterations,
-        stagnation_limit=scale.ga_stagnation,
-    )
+    config, ga_params = _grid_config(args)
     results = run_fault_grid(
         config,
         scenarios,
@@ -919,9 +448,7 @@ def _run_algo_grid(args: argparse.Namespace) -> str:
 
 def _run_energy(args: argparse.Namespace) -> str:
     from repro.energy import PowerModel
-    from repro.experiments.config import Scale
     from repro.experiments.energy_grid import run_energy_grid
-    from repro.ga.engine import GAParams
 
     if not (0.0 <= args.slack_ratio <= 1.0):
         raise SystemExit(
@@ -935,20 +462,7 @@ def _run_energy(args: argparse.Namespace) -> str:
         "null": PowerModel.null,
     }
     power = powers[args.power](args.procs)
-    scale = Scale(
-        name="cli-energy",
-        n_graphs=args.instances,
-        n_realizations=args.realizations,
-        n_tasks=args.tasks,
-        ga_max_iterations=args.ga_iterations,
-        ga_stagnation=max(args.ga_iterations // 4, 1),
-    )
-    config = ExperimentConfig(scale=scale, m=args.procs, seed=args.seed)
-    ga_params = GAParams(
-        population_size=args.ga_population,
-        max_iterations=args.ga_iterations,
-        stagnation_limit=scale.ga_stagnation,
-    )
+    config, ga_params = _grid_config(args)
     results = run_energy_grid(
         config,
         power=power,
@@ -1033,35 +547,25 @@ def _run_serve(args: argparse.Namespace) -> str:
     progress = None
     if not args.quiet:
         progress = lambda msg: print(f"[serve] {msg}", file=sys.stderr)  # noqa: E731
+    common = dict(
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        ga_queue_limit=args.ga_queue_limit,
+        admission_mode=args.admission,
+        stream_threshold=args.stream_threshold,
+        cache_bytes=int(args.cache_mb * 1024 * 1024),
+    )
     if args.shards > 1:
-        service = Coordinator(
-            CoordinatorConfig(
-                host=args.host,
-                port=args.port,
-                shards=args.shards,
-                transport=args.transport,
-                workers=args.workers,
-                ga_queue_limit=args.ga_queue_limit,
-                admission_mode=args.admission,
-                stream_threshold=args.stream_threshold,
-                cache_bytes=int(args.cache_mb * 1024 * 1024),
-                steal_margin=args.steal_margin,
-            ),
-            progress=progress,
+        config = CoordinatorConfig(
+            shards=args.shards,
+            transport=args.transport,
+            steal_margin=args.steal_margin,
+            **common,
         )
+        service = Coordinator(config, progress=progress)
     else:
-        service = SchedulerService(
-            ServiceConfig(
-                host=args.host,
-                port=args.port,
-                workers=args.workers,
-                ga_queue_limit=args.ga_queue_limit,
-                admission_mode=args.admission,
-                stream_threshold=args.stream_threshold,
-                cache_bytes=int(args.cache_mb * 1024 * 1024),
-            ),
-            progress=progress,
-        )
+        service = SchedulerService(ServiceConfig(**common), progress=progress)
     try:
         asyncio.run(service.run())
     except KeyboardInterrupt:
@@ -1162,15 +666,493 @@ def _run_trace_summary(args: argparse.Namespace) -> str:
     return render_summary(records, top=args.top)
 
 
+@dataclass(frozen=True)
+class Verb:
+    """One subcommand.
+
+    ``shared`` names options of :data:`SHARED`; ``defaults`` gives some
+    of them this verb's default and ``aliases`` extra spellings.
+    ``own`` lists the options only this verb takes, and ``run`` renders
+    the command's output from the parsed arguments.
+    """
+
+    help: str
+    run: Callable[[argparse.Namespace], str]
+    shared: tuple[str, ...] = ()
+    own: tuple[Option, ...] = ()
+    defaults: Mapping[str, Any] = field(default_factory=dict)
+    aliases: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+
+
+#: The options of every verb that generates one random instance.
+INSTANCE = ("seed", "tasks", "procs", "ul", "trace")
+#: The options of every verb that runs an experiment preset.
+PRESET = ("scale", "seed", "quiet", "trace")
+
+
+def _figure(help_text: str) -> Verb:
+    return Verb(
+        help_text,
+        _run_figure,
+        PRESET + ("workers",),
+        (
+            _opt(
+                "--uls",
+                type=float,
+                nargs="+",
+                default=list(PAPER_ULS),
+                help="uncertainty levels to sweep (default: 2 4 6 8)",
+            ),
+            _opt(
+                "--checkpoint",
+                default=None,
+                help="JSONL journal of finished cells for crash recovery "
+                "(default with --resume: "
+                "results/checkpoints/<command>-<scale>-seed<seed>.jsonl)",
+            ),
+            _opt(
+                "--resume",
+                action="store_true",
+                help="skip cells already journaled in the checkpoint; "
+                "restored cells are bit-identical to recomputed ones",
+            ),
+        ),
+        defaults={"seed": None},
+        aliases={"workers": ("--jobs",)},
+    )
+
+
+VERBS: dict[str, Verb] = {
+    "fig2": _figure("GA evolution, minimizing makespan (Sec. 5.1)"),
+    "fig3": _figure("GA evolution, maximizing slack (Sec. 5.1)"),
+    "fig4": _figure("improvement over HEFT at eps = 1.0 (Sec. 5.2)"),
+    "fig5": _figure("R1 improvement vs eps (Sec. 5.2)"),
+    "fig6": _figure("R2 improvement vs eps (Sec. 5.2)"),
+    "fig7": _figure("best eps for overall performance, R1 (Sec. 5.2)"),
+    "fig8": _figure("best eps for overall performance, R2 (Sec. 5.2)"),
+    "solve": Verb(
+        "solve one random instance end-to-end",
+        _run_solve,
+        INSTANCE + ("epsilon", "realizations"),
+    ),
+    "compare": Verb(
+        "run every scheduler on one instance and compare",
+        _run_compare,
+        INSTANCE + ("realizations",),
+    ),
+    "gantt": Verb(
+        "render a schedule as an ASCII Gantt chart",
+        _run_gantt,
+        INSTANCE + ("epsilon",),
+        (
+            _opt(
+                "--scheduler",
+                choices=("heft", "cpop", "peft", "minmin", "robust"),
+                default="robust",
+                help="which scheduler's result to draw",
+            ),
+            _opt("--width", type=int, default=78, help="chart width"),
+        ),
+        defaults={"epsilon": 1.2},
+    ),
+    "pareto": Verb(
+        "approximate the makespan/slack Pareto front with NSGA-II",
+        _run_pareto,
+        INSTANCE,
+        (_opt("--iterations", type=int, default=150, help="NSGA-II generations"),),
+    ),
+    "export": Verb(
+        "generate an instance and write it (and its HEFT schedule)",
+        _run_export,
+        INSTANCE,
+        (
+            _opt("--out", default="instance.json", help="output problem JSON path"),
+            _opt("--dot", default=None, help="also write the task graph as DOT here"),
+        ),
+    ),
+    "zoo": Verb(
+        "compare the whole scheduler zoo over the instance pool",
+        _run_zoo,
+        PRESET,
+        (
+            _opt(
+                "--zoo-ul",
+                type=float,
+                default=4.0,
+                help="uncertainty level for the zoo",
+            ),
+            _opt(
+                "--no-dynamic",
+                action="store_true",
+                help="skip the (slow) online-MCT dynamic baseline",
+            ),
+        ),
+        defaults={"seed": None},
+    ),
+    "sensitivity": Verb(
+        "sweep a generator parameter and report the eps=1.0 gain",
+        _run_sensitivity,
+        PRESET,
+        (
+            _opt("--parameter", choices=("ccr", "alpha", "m"), default="ccr"),
+            _opt("--values", type=float, nargs="+", default=[0.1, 0.5, 1.0]),
+            _opt(
+                "--sens-ul", type=float, default=4.0, help="fixed uncertainty level"
+            ),
+        ),
+        defaults={"seed": None},
+    ),
+    "faults": Verb(
+        "assess schedulers under injected fault scenarios (see docs/faults.md)",
+        _run_faults,
+        INSTANCE
+        + ("epsilon", "realizations", "instances", "workers", "quiet")
+        + ("ga_iterations", "ga_population"),
+        (
+            _opt(
+                "--scenario",
+                action="append",
+                default=None,
+                metavar="NAME_OR_PATH",
+                help="builtin scenario name or a JSON/YAML spec path; "
+                "repeatable (default: every builtin; see --list-scenarios)",
+            ),
+            _opt(
+                "--policies",
+                nargs="+",
+                choices=("rerun-static", "repair", "dynamic"),
+                default=["rerun-static", "repair", "dynamic"],
+                help="reactive policies to grid over (default: all three)",
+            ),
+            _opt(
+                "--list-scenarios",
+                action="store_true",
+                help="print the builtin scenario library and exit",
+            ),
+        ),
+        defaults={"epsilon": 1.4, "realizations": 200},
+    ),
+    "energy": Verb(
+        "energy/replication frontier study: HEFT vs robust GA vs energy GA "
+        "(see docs/energy.md)",
+        _run_energy,
+        INSTANCE
+        + ("realizations", "instances", "workers", "quiet")
+        + ("ga_iterations", "ga_population"),
+        (
+            _opt(
+                "--epsilons",
+                type=float,
+                nargs="+",
+                default=[1.0, 1.3, 1.6],
+                help="makespan budgets as multiples of M_HEFT "
+                "(default: 1.0 1.3 1.6)",
+            ),
+            _opt(
+                "--slack-ratio",
+                type=float,
+                default=0.5,
+                help="reliability floor R as a fraction of HEFT's average "
+                "slack (default: 0.5; must be <= 1 so HEFT keeps every cell "
+                "feasible)",
+            ),
+            _opt(
+                "--power",
+                choices=("default", "uniform", "null"),
+                default="default",
+                help="power model: 'default' heterogeneous with DVFS levels, "
+                "'uniform' identical processors, 'null' zero power "
+                "(degenerates to the paper's slack GA; default: default)",
+            ),
+            _opt(
+                "--k",
+                type=int,
+                default=1,
+                help="permanent processor failures the replication plan must "
+                "tolerate (0 skips replication; default: 1)",
+            ),
+            _opt(
+                "--deadline-factor",
+                type=float,
+                default=4.0,
+                help="replication deadline as a multiple of M_HEFT (default: 4)",
+            ),
+            _opt(
+                "--replication-realizations",
+                type=_positive_int,
+                default=10,
+                help="realizations per failure subset in survival "
+                "verification (default: 10)",
+            ),
+        ),
+        defaults={"realizations": 200},
+    ),
+    "algo-grid": Verb(
+        "sweep the component-algebra scheduler catalogue across graph "
+        "families (see docs/algorithms.md)",
+        _run_algo_grid,
+        INSTANCE + ("instances", "realizations", "workers", "quiet"),
+        (
+            _opt(
+                "--combos",
+                nargs="+",
+                default=None,
+                metavar="NAME",
+                help="catalogue combinations to sweep (default: all; "
+                "see --list-combos)",
+            ),
+            _opt(
+                "--families",
+                nargs="+",
+                default=list(ALGO_FAMILIES),
+                choices=ALGO_FAMILIES,
+                help="graph families to draw instances from (default: all)",
+            ),
+            _opt(
+                "--rank-by",
+                choices=("makespan", "r1", "r2"),
+                default="makespan",
+                help="ranking criterion for the summary table "
+                "(default: makespan)",
+            ),
+            _opt(
+                "--list-combos",
+                action="store_true",
+                help="print the scheduler catalogue and exit",
+            ),
+        ),
+        defaults={"instances": 3, "realizations": 200},
+    ),
+    "stream": Verb(
+        "run a streaming oversubscribed workload with shedding policies "
+        "(see docs/stream.md)",
+        _run_stream,
+        ("seed", "tasks", "procs", "ul", "workers", "quiet", "trace"),
+        (
+            _opt(
+                "--stream-jobs",
+                type=_positive_int,
+                default=40,
+                help="DAG jobs in the arrival stream (default: 40)",
+            ),
+            _opt(
+                "--load",
+                type=float,
+                default=1.5,
+                help="offered load relative to capacity; >1 oversubscribes "
+                "(default: 1.5)",
+            ),
+            _opt(
+                "--arrival",
+                choices=("poisson", "mmpp"),
+                default="poisson",
+                help="arrival process (mmpp = two-state bursty)",
+            ),
+            _opt(
+                "--burstiness",
+                type=float,
+                default=4.0,
+                help="mmpp fast/slow rate ratio (default: 4)",
+            ),
+            _opt(
+                "--deadline-factor",
+                type=float,
+                default=3.0,
+                help="deadline = arrival + factor x isolated expected makespan",
+            ),
+            _opt(
+                "--policy",
+                choices=("none", "prune", "drop"),
+                default="none",
+                help="shedding policy for a single run (default: none)",
+            ),
+            _opt(
+                "--grid",
+                action="store_true",
+                help="sweep the policy x load grid through repro.cluster "
+                "instead of one run (see --loads/--policies/--workers)",
+            ),
+            _opt(
+                "--loads",
+                type=float,
+                nargs="+",
+                default=None,
+                help="grid load levels (default: 0.5 1.0 1.5 2.0)",
+            ),
+            _opt(
+                "--policies",
+                nargs="+",
+                choices=("none", "prune", "drop"),
+                default=None,
+                help="grid policies (default: all three)",
+            ),
+        ),
+        defaults={"seed": 0, "tasks": 24},
+    ),
+    "serve": Verb(
+        "run the scheduler service daemon (see docs/service.md)",
+        _run_serve,
+        ("host", "port", "workers", "quiet", "trace"),
+        (
+            _opt(
+                "--ga-queue-limit",
+                type=int,
+                default=8,
+                help="GA requests allowed to wait; the excess is shed to the "
+                "degraded heuristic tier (default: 8)",
+            ),
+            _opt(
+                "--admission",
+                choices=("tiered", "stream"),
+                default="tiered",
+                help="GA admission mode: 'tiered' sheds on the EWMA wait "
+                "point estimate, 'stream' on the probabilistic on-time-start "
+                "test (default: tiered; see docs/stream.md)",
+            ),
+            _opt(
+                "--stream-threshold",
+                type=float,
+                default=0.5,
+                help="stream admission: shed GA requests whose on-time start "
+                "probability is below this (default: 0.5)",
+            ),
+            _opt(
+                "--cache-mb",
+                type=float,
+                default=64.0,
+                help="result cache budget in MiB (default: 64)",
+            ),
+            _opt(
+                "--shards",
+                type=_positive_int,
+                default=1,
+                help="scheduler-worker shards; >1 runs the sharded deployment "
+                "(a coordinator consistent-hashes requests across the "
+                "shards; default: 1, the classic single-node daemon)",
+            ),
+            _opt(
+                "--transport",
+                choices=("inproc", "tcp"),
+                default="tcp",
+                help="shard transport when --shards > 1: 'tcp' forks one OS "
+                "process per shard (real parallelism), 'inproc' keeps them "
+                "in the coordinator's event loop (default: tcp)",
+            ),
+            _opt(
+                "--steal-margin",
+                type=_positive_int,
+                default=1,
+                help="sharded only: GA backlog difference before work "
+                "stealing kicks in (default: 1)",
+            ),
+        ),
+    ),
+    "submit": Verb(
+        "send one request to a running scheduler service",
+        _run_submit,
+        ("host", "port", "seed", "tasks", "procs", "ul", "epsilon")
+        + ("realizations", "ga_iterations", "ga_population"),
+        (
+            _opt(
+                "--op",
+                choices=("solve", "status", "ping", "shutdown"),
+                default="solve",
+                help="request to send (default: solve)",
+            ),
+            _opt(
+                "--problem",
+                default=None,
+                help="problem JSON file ('repro export' output); omitted: "
+                "generate an instance from --seed/--tasks/--procs/--ul",
+            ),
+            _opt(
+                "--solver",
+                choices=SOLVERS,
+                default="ga",
+                help="which solver to request (every non-GA name is "
+                "fast-tier, including the component-algebra catalogue; see "
+                "docs/algorithms.md)",
+            ),
+            _opt(
+                "--deadline",
+                type=float,
+                default=None,
+                help="queue-wait deadline in seconds; a GA request predicted "
+                "to wait longer is shed to the heuristic tier",
+            ),
+            _opt(
+                "--ga-stagnation",
+                type=_positive_int,
+                default=None,
+                help="override GAParams.stagnation_limit for this request",
+            ),
+            _opt(
+                "--warm-start",
+                action=argparse.BooleanOptionalAction,
+                default=True,
+                help="allow the server to seed a GA solve from previously "
+                "solved near-match problems (default: on; --no-warm-start "
+                "disables)",
+            ),
+            _opt(
+                "--retry-s",
+                type=float,
+                default=5.0,
+                help="keep retrying the connection this long (default: 5)",
+            ),
+            _opt(
+                "--json",
+                action="store_true",
+                help="print the raw response JSON instead of a summary",
+            ),
+        ),
+        defaults={"ga_iterations": None, "ga_population": None},
+    ),
+    "trace-summary": Verb(
+        "render a human-readable summary of a --trace JSONL file",
+        _run_trace_summary,
+        own=(
+            _opt("path", help="trace file written by --trace"),
+            _opt(
+                "--top",
+                type=_positive_int,
+                default=5,
+                help="histograms to show in full (default: 5)",
+            ),
+        ),
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Construct the CLI argument parser from :data:`SHARED` and :data:`VERBS`."""
+    parser = argparse.ArgumentParser(
+        prog="repro-sched",
+        description=(
+            "Reproduce 'Robust task scheduling in non-deterministic "
+            "heterogeneous computing systems' (CLUSTER 2006)"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for key in verb.shared:
+            flags, kwargs = SHARED[key]
+            if key in verb.defaults:
+                kwargs = {**kwargs, "default": verb.defaults[key]}
+            p.add_argument(*flags, *verb.aliases.get(key, ()), **kwargs)
+        for flags, kwargs in verb.own:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=verb.run)
+    return parser
+
+
 def run(argv: Sequence[str] | None = None) -> str:
     """Execute the CLI and return the rendered output (testing hook)."""
     args = build_parser().parse_args(argv)
-
-    if args.command == "trace-summary":
-        return _run_trace_summary(args)
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
-        return _dispatch(args)
+        return args.handler(args)
 
     from repro.obs import runtime as obs
     from repro.obs.sinks import JsonlSink
@@ -1178,87 +1160,9 @@ def run(argv: Sequence[str] | None = None) -> str:
     obs.enable(JsonlSink(trace_path))
     try:
         with obs.trace(f"cli.{args.command}"):
-            return _dispatch(args)
+            return args.handler(args)
     finally:
         obs.disable()
-
-
-def _dispatch(args: argparse.Namespace) -> str:
-    if args.command == "solve":
-        return _run_solve(args)
-    if args.command == "compare":
-        return _run_compare(args)
-    if args.command == "gantt":
-        return _run_gantt(args)
-    if args.command == "pareto":
-        return _run_pareto(args)
-    if args.command == "export":
-        return _run_export(args)
-    if args.command == "faults":
-        return _run_faults(args)
-    if args.command == "energy":
-        return _run_energy(args)
-    if args.command == "algo-grid":
-        return _run_algo_grid(args)
-    if args.command == "stream":
-        return _run_stream(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "submit":
-        return _run_submit(args)
-    if args.command == "zoo":
-        from repro.experiments.zoo import run_zoo
-
-        return run_zoo(
-            _config(args),
-            args.zoo_ul,
-            include_dynamic=not args.no_dynamic,
-            progress=_progress(args),
-        ).to_table()
-    if args.command == "sensitivity":
-        from repro.experiments.sensitivity import run_sensitivity
-
-        return run_sensitivity(
-            _config(args),
-            args.parameter,
-            tuple(args.values),
-            mean_ul=args.sens_ul,
-            progress=_progress(args),
-        ).to_table()
-
-    config = _config(args)
-    uls = tuple(args.uls)
-    progress = _progress(args)
-    cluster = _cluster_kwargs(args, config)
-
-    if args.command in ("fig2", "fig3"):
-        from repro.experiments.slack_effect import run_slack_effect
-
-        objective = "makespan" if args.command == "fig2" else "slack"
-        return run_slack_effect(
-            config, objective, uls, progress=progress, **cluster
-        ).to_table()
-    if args.command == "fig4":
-        from repro.experiments.eps_one import run_eps_one
-
-        return run_eps_one(
-            config, uls, progress=progress, **cluster
-        ).to_table()
-    if args.command in ("fig5", "fig6"):
-        from repro.experiments.eps_sweep import run_eps_sweep
-
-        which = "r1" if args.command == "fig5" else "r2"
-        return run_eps_sweep(
-            config, uls, progress=progress, **cluster
-        ).to_table(which)
-    if args.command in ("fig7", "fig8"):
-        from repro.experiments.best_eps import run_best_eps
-
-        which = "r1" if args.command == "fig7" else "r2"
-        return run_best_eps(
-            config, uls, progress=progress, **cluster
-        ).to_table(which)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 
 def main(argv: Sequence[str] | None = None) -> int:
