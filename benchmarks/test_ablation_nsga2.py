@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments.workloads import make_problems
 from repro.ga.engine import GAParams
-from repro.moop.epsilon_front import epsilon_front
+from repro.moop.fronts import epsilon_front
 from repro.moop.nsga2 import Nsga2Scheduler
 from repro.moop.pareto import coverage, hypervolume_2d
 from repro.utils.tables import format_table

@@ -11,9 +11,8 @@ hypervolume and front size.
 import numpy as np
 
 from repro.experiments.workloads import make_problems
-from repro.moop.epsilon_front import epsilon_front
+from repro.moop.fronts import epsilon_front, weighted_sum_front
 from repro.moop.pareto import hypervolume_2d
-from repro.moop.weighted_front import weighted_sum_front
 from repro.utils.tables import format_table
 
 EPS_GRID = (1.0, 1.3, 1.6, 2.0)

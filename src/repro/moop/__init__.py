@@ -8,8 +8,12 @@ approximates the whole makespan/slack Pareto front that would otherwise
 require one ε-constraint GA run per ε value.
 """
 
-from repro.moop.energy_front import EnergyFrontResult, energy_front
-from repro.moop.epsilon_front import EpsilonFrontResult, epsilon_front
+from repro.moop.fronts import (
+    FrontResult,
+    energy_front,
+    epsilon_front,
+    weighted_sum_front,
+)
 from repro.moop.nsga2 import Nsga2Result, Nsga2Scheduler
 from repro.moop.pareto import (
     coverage,
@@ -19,7 +23,6 @@ from repro.moop.pareto import (
     non_dominated_sort,
     pareto_front_mask,
 )
-from repro.moop.weighted_front import WeightedFrontResult, weighted_sum_front
 from repro.moop.weighted_sum import WeightedSumFitness
 
 __all__ = [
@@ -32,10 +35,8 @@ __all__ = [
     "Nsga2Scheduler",
     "Nsga2Result",
     "WeightedSumFitness",
+    "FrontResult",
     "epsilon_front",
-    "EpsilonFrontResult",
     "energy_front",
-    "EnergyFrontResult",
     "weighted_sum_front",
-    "WeightedFrontResult",
 ]

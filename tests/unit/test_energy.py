@@ -250,7 +250,7 @@ class TestEnergyObjective:
             rng=5,
             slack_ratio=0.5,
         )
-        assert len(front.epsilons) >= 1
+        assert len(front.values) >= 1
         assert np.all(np.diff(front.makespans) >= 0)
         obj = front.objectives()
         for i in range(len(obj)):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.moop.epsilon_front import epsilon_front
+from repro.moop.fronts import epsilon_front
 from repro.moop.pareto import coverage, hypervolume_2d
 from repro.schedule.evaluation import evaluate
 from repro.schedule.validation import (
