@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
+from repro.graph.analysis import ArrayDag
 from repro.heuristics.base import average_comm_costs, average_execution_times
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,38 +38,22 @@ __all__ = ["upward_ranks", "downward_ranks", "HeftScheduler", "QuantileHeftSched
 def upward_ranks(
     problem: SchedulingProblem, edge_costs: np.ndarray | None = None
 ) -> np.ndarray:
-    """Upward rank of every task (``rank_u``), computed in reverse topo order.
+    """Upward rank of every task (``rank_u``): its average-weight bottom level.
 
     *edge_costs* is the per-edge communication cost in canonical edge
     order (default: the processor-pair averages).  Zero costs give the
     static b-level, the longest average-execution path to an exit.
     """
-    graph = problem.graph
     w = average_execution_times(problem)
     c = average_comm_costs(problem) if edge_costs is None else edge_costs
-    rank = w.copy()
-    for v in graph.topological[::-1]:
-        v = int(v)
-        eidx = graph.successor_edge_indices(v)
-        if eidx.size:
-            succ = graph.edge_dst[eidx]
-            rank[v] = w[v] + float((c[eidx] + rank[succ]).max())
-    return rank
+    return ArrayDag.from_taskgraph(problem.graph).bottom_levels(w, c)
 
 
 def downward_ranks(problem: SchedulingProblem) -> np.ndarray:
     """Downward rank (``rank_d``): longest average path from an entry, excluding the task."""
-    graph = problem.graph
-    w = average_execution_times(problem)
-    c = average_comm_costs(problem)
-    rank = np.zeros(graph.n, dtype=np.float64)
-    for v in graph.topological:
-        v = int(v)
-        eidx = graph.predecessor_edge_indices(v)
-        if eidx.size:
-            pred = graph.edge_src[eidx]
-            rank[v] = float((rank[pred] + w[pred] + c[eidx]).max())
-    return rank
+    return ArrayDag.from_taskgraph(problem.graph).top_levels(
+        average_execution_times(problem), average_comm_costs(problem)
+    )
 
 
 def HeftScheduler() -> ComponentScheduler:
