@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.config import PAPER_ULS, ExperimentConfig
+from repro.experiments.config import PAPER_ULS, R1_CAP, ExperimentConfig
 from repro.experiments.eps_sweep import PAPER_EPSILONS
 from repro.experiments.runner import EpsGridResults, capped, run_eps_grid
 from repro.robustness.performance import overall_performance
@@ -81,7 +81,6 @@ def run_best_eps(
             resume=resume,
         )
 
-    cap = config.r1_cap
     uls = tuple(float(u) for u in uls)
     r_grid = tuple(float(r) for r in r_grid)
 
@@ -100,18 +99,18 @@ def run_best_eps(
                     vals1.append(
                         overall_performance(
                             o.ga.mean_makespan,
-                            capped(o.ga.r1, cap),
+                            capped(o.ga.r1, R1_CAP),
                             o.heft.mean_makespan,
-                            capped(o.heft.r1, cap),
+                            capped(o.heft.r1, R1_CAP),
                             r,
                         )
                     )
                     vals2.append(
                         overall_performance(
                             o.ga.mean_makespan,
-                            capped(o.ga.r2, cap),
+                            capped(o.ga.r2, R1_CAP),
                             o.heft.mean_makespan,
-                            capped(o.heft.r2, cap),
+                            capped(o.heft.r2, R1_CAP),
                             r,
                         )
                     )

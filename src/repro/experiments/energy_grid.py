@@ -45,7 +45,7 @@ from repro.energy.replication import (
     build_replication_plan,
     verify_survival,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import R1_CAP, ExperimentConfig
 from repro.experiments.grid import run_grid
 from repro.experiments.runner import capped
 from repro.experiments.workloads import make_problem
@@ -250,11 +250,10 @@ class EnergyGridResults:
         ``M/M_H`` is the mean makespan ratio against HEFT; ``E`` the mean
         expected joules, ``E dvfs`` after the slowest-feasible-frequency
         post-pass within the same ε budget; ``R1`` the instance-mean with
-        infinities capped at the config's ``r1_cap``; ``feas%`` the
+        infinities capped at ``R1_CAP``; ``feas%`` the
         fraction of cells meeting both constraints (must be 100 for the
         GA strategies — HEFT seeds the population).
         """
-        cap = self.config.r1_cap
         rows = []
         keys: list[tuple[str, float]] = [("heft", 1.0)] if "heft" in self.strategies else []
         for eps in self.epsilons:
@@ -272,7 +271,7 @@ class EnergyGridResults:
                 float(np.mean([o.avg_slack for o in cells])),
                 float(np.mean([o.energy for o in cells])),
                 float(np.mean([o.dvfs_energy for o in cells])),
-                float(np.mean([capped(o.report.r1, cap) for o in cells])),
+                float(np.mean([capped(o.report.r1, R1_CAP) for o in cells])),
                 float(np.mean([o.report.miss_rate for o in cells])),
                 100.0 * np.mean([o.feasible for o in cells]),
             ])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.config import PAPER_ULS, ExperimentConfig
+from repro.experiments.config import PAPER_ULS, R1_CAP, ExperimentConfig
 from repro.experiments.runner import EpsGridResults, capped, run_eps_grid
 from repro.utils.tables import format_series
 
@@ -85,7 +85,6 @@ def run_eps_sweep(
     swept = tuple(e for e in epsilons if e != 1.0)
     r1_improvement: dict[float, np.ndarray] = {}
     r2_improvement: dict[float, np.ndarray] = {}
-    cap = config.r1_cap
     for ul in uls:
         ref = {o.instance: o for o in grid.outcomes(ul, 1.0)}
         r1_row, r2_row = [], []
@@ -94,10 +93,10 @@ def run_eps_sweep(
             for o in grid.outcomes(ul, eps):
                 base = ref[o.instance]
                 vals1.append(
-                    np.log(capped(o.ga.r1, cap) / capped(base.ga.r1, cap))
+                    np.log(capped(o.ga.r1, R1_CAP) / capped(base.ga.r1, R1_CAP))
                 )
                 vals2.append(
-                    np.log(capped(o.ga.r2, cap) / capped(base.ga.r2, cap))
+                    np.log(capped(o.ga.r2, R1_CAP) / capped(base.ga.r2, R1_CAP))
                 )
             r1_row.append(float(np.mean(vals1)))
             r2_row.append(float(np.mean(vals2)))

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.cluster import TaskSpec
 from repro.core.robust import RobustScheduler
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import R1_CAP, ExperimentConfig
 from repro.experiments.grid import run_grid
 from repro.experiments.runner import capped
 from repro.experiments.workloads import make_problem
@@ -137,12 +137,11 @@ class FaultGridResults:
 
         ``mean M`` averages realized makespans across instances and
         realizations (``inf`` = some realization never completed);
-        ``R1`` is the instance-mean with infinite values capped at the
-        config's ``r1_cap``; ``fail%`` is the fraction of realizations
+        ``R1`` is the instance-mean with infinite values capped at
+        ``R1_CAP``; ``fail%`` is the fraction of realizations
         that never completed; ``redisp`` the mean number of repair
         re-dispatches per realization.
         """
-        cap = self.config.r1_cap
         rows = []
         for scenario in self.scenarios:
             for scheduler, policy in self.strategies:
@@ -156,7 +155,7 @@ class FaultGridResults:
                     policy,
                     float(np.mean([o.assessment.mean_makespan for o in cells])),
                     float(np.mean([o.assessment.miss_rate for o in cells])),
-                    float(np.mean([capped(o.assessment.r1, cap) for o in cells])),
+                    float(np.mean([capped(o.assessment.r1, R1_CAP) for o in cells])),
                     100.0 * sum(o.assessment.n_failed for o in cells) / n_real,
                     sum(o.assessment.n_redispatches for o in cells) / n_real,
                 ])

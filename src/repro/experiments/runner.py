@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cluster import Checkpoint, TaskSpec
 from repro.core.robust import RobustScheduler
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import R1_CAP, ExperimentConfig
 from repro.experiments.grid import run_grid
 from repro.experiments.workloads import make_problem
 from repro.heuristics.heft import HeftScheduler
@@ -67,10 +67,9 @@ class EpsGridResults:
 
         *metric* / *reference* are callables on :class:`InstanceOutcome`.
         """
-        cap = self.config.r1_cap
         values = [
             math.log(
-                capped(metric(o), cap) / capped(reference(o), cap)
+                capped(metric(o), R1_CAP) / capped(reference(o), R1_CAP)
             )
             for o in self.outcomes(mean_ul, epsilon)
         ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.robust import RobustScheduler
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import R1_CAP, ExperimentConfig
 from repro.experiments.runner import capped
 from repro.experiments.workloads import make_problem
 from repro.heuristics.heft import HeftScheduler
@@ -90,7 +90,6 @@ def run_sensitivity(
     if not values:
         raise ValueError("values must be non-empty")
     n_real = config.scale.n_realizations
-    cap = config.r1_cap
 
     r1_rows, r2_rows, mk_rows = [], [], []
     for value in values:
@@ -115,10 +114,10 @@ def run_sensitivity(
                 role_stream(cfg.seed, "sensitivity.ga_mc", i),
             )
             gains_r1.append(
-                math.log(capped(ga_rep.r1, cap) / capped(heft_rep.r1, cap))
+                math.log(capped(ga_rep.r1, R1_CAP) / capped(heft_rep.r1, R1_CAP))
             )
             gains_r2.append(
-                math.log(capped(ga_rep.r2, cap) / capped(heft_rep.r2, cap))
+                math.log(capped(ga_rep.r2, R1_CAP) / capped(heft_rep.r2, R1_CAP))
             )
             gains_mk.append(
                 math.log(heft_rep.mean_makespan / ga_rep.mean_makespan)

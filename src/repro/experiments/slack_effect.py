@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster import Checkpoint, TaskSpec
-from repro.experiments.config import PAPER_ULS, ExperimentConfig
+from repro.experiments.config import PAPER_ULS, R1_CAP, ExperimentConfig
 from repro.experiments.grid import run_grid
 from repro.experiments.runner import capped
 from repro.experiments.workloads import make_problem
@@ -111,7 +111,7 @@ def _instance_trace(
         report = assess_robustness(schedule, config.scale.n_realizations, mc_rng)
         raw["makespan"].append(report.mean_makespan)
         raw["slack"].append(report.avg_slack)
-        raw["r1"].append(capped(report.r1, config.r1_cap))
+        raw["r1"].append(capped(report.r1, R1_CAP))
 
     floor = 1e-9 * raw["makespan"][0]
     return {

@@ -88,6 +88,11 @@ from repro.utils.rng import as_generator
 
 __all__ = ["GAParams", "GAHistory", "GAResult", "GeneticScheduler"]
 
+#: Uniqueness check budget: up to this many times ``Np`` redraws while
+#: filling the initial population before accepting duplicates (only
+#: relevant for tiny search spaces).
+INIT_RETRY_FACTOR = 20
+
 
 @dataclass(frozen=True)
 class GAParams:
@@ -110,10 +115,6 @@ class GAParams:
     seed_heft:
         Include the HEFT chromosome in the initial population (paper: yes;
         switchable for the seeding ablation).
-    init_retry_factor:
-        Uniqueness check budget: up to ``factor * Np`` redraws while
-        filling the initial population before accepting duplicates (only
-        relevant for tiny search spaces).
     """
 
     population_size: int = 20
@@ -122,7 +123,6 @@ class GAParams:
     max_iterations: int = 1000
     stagnation_limit: int = 100
     seed_heft: bool = True
-    init_retry_factor: int = 20
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -262,7 +262,7 @@ class GeneticScheduler:
             seen.add(repaired.key())
             population.append(repaired)
 
-        budget = params.init_retry_factor * params.population_size
+        budget = INIT_RETRY_FACTOR * params.population_size
         while len(population) < params.population_size and budget > 0:
             cand = random_chromosome(problem, self._rng)
             budget -= 1

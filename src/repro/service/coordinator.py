@@ -58,6 +58,13 @@ __all__ = ["CoordinatorConfig", "Coordinator", "ShardDown"]
 
 TRANSPORTS = ("inproc", "tcp")
 
+#: Result-cache budget of each shard.
+SHARD_CACHE_BYTES = 64 * 1024 * 1024
+#: Routing attempts per request when shards die mid-solve.
+DISPATCH_ATTEMPTS = 8
+#: How the tcp transport starts shard processes.
+SHARD_START_METHOD = "fork"
+
 #: Response fields the coordinator strips from a shard reply to recover
 #: the cacheable core (everything the single-node ``_solve`` adds around
 #: the ``execute_payload`` result).
@@ -103,17 +110,15 @@ class CoordinatorConfig:
     workers / ga_queue_limit / admission_mode / stream_threshold /
     fast_threads:
         Forwarded to each shard's :class:`ServiceConfig`.
-    cache_bytes / shard_cache_bytes:
-        Budgets of the coordinator's replicated result cache and of each
-        shard's local cache.
+    cache_bytes:
+        Budget of the coordinator's replicated result cache (each shard's
+        local cache has :data:`SHARD_CACHE_BYTES`).
     steal_margin:
         Minimum home-vs-least-loaded GA backlog difference before a GA
         request is stolen (see :func:`repro.service.sharding.choose_shard`).
     max_restarts:
         Times one shard may be respawned before it is left dead (the
         ring fails its keys over to the survivors).
-    dispatch_retries:
-        Re-route attempts per request when shards die mid-solve.
     """
 
     host: str = "127.0.0.1"
@@ -126,14 +131,10 @@ class CoordinatorConfig:
     admission_mode: str = "tiered"
     stream_threshold: float = 0.5
     cache_bytes: int = 64 * 1024 * 1024
-    shard_cache_bytes: int = 64 * 1024 * 1024
     fast_threads: int = 4
-    drain_timeout: float = 30.0
     max_line_bytes: int = DEFAULT_MAX_FRAME
     steal_margin: int = 1
     max_restarts: int = 3
-    dispatch_retries: int = 8
-    mp_context: str = "fork"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -151,10 +152,6 @@ class CoordinatorConfig:
             raise ValueError(f"steal_margin must be >= 1, got {self.steal_margin}")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.dispatch_retries < 1:
-            raise ValueError(
-                f"dispatch_retries must be >= 1, got {self.dispatch_retries}"
-            )
 
 
 class _ShardHandle:
@@ -215,7 +212,6 @@ class Coordinator(SchedulerService):
                 stream_threshold=t.stream_threshold,
                 cache_bytes=t.cache_bytes,
                 fast_threads=t.fast_threads,
-                drain_timeout=t.drain_timeout,
                 max_line_bytes=t.max_line_bytes,
             ),
             progress=progress,
@@ -298,9 +294,8 @@ class Coordinator(SchedulerService):
             ga_queue_limit=t.ga_queue_limit,
             admission_mode=t.admission_mode,
             stream_threshold=t.stream_threshold,
-            cache_bytes=t.shard_cache_bytes,
+            cache_bytes=SHARD_CACHE_BYTES,
             fast_threads=t.fast_threads,
-            drain_timeout=t.drain_timeout,
             max_line_bytes=t.max_line_bytes,
         )
 
@@ -327,7 +322,7 @@ class Coordinator(SchedulerService):
         handle.pid = os.getpid()
 
     async def _start_tcp_shard(self, handle: _ShardHandle) -> None:
-        ctx = mp.get_context(self.topology.mp_context)
+        ctx = mp.get_context(SHARD_START_METHOD)
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=shard_main,
@@ -479,7 +474,7 @@ class Coordinator(SchedulerService):
         message = self._forward_message(request)
         is_ga = request["solver"] == "ga"
         last_error: Exception | None = None
-        for attempt in range(self.topology.dispatch_retries):
+        for attempt in range(DISPATCH_ATTEMPTS):
             if attempt:
                 self.counters["dispatch_retries"] += 1
                 obs.add("service.dispatch_retry")
@@ -531,7 +526,7 @@ class Coordinator(SchedulerService):
         raise ProtocolError(
             "internal",
             f"no shard could serve the request after "
-            f"{self.topology.dispatch_retries} attempts: {last_error}",
+            f"{DISPATCH_ATTEMPTS} attempts: {last_error}",
         )
 
     # ------------------------------------------------------------------- solve

@@ -61,6 +61,9 @@ from repro.service.solvers import execute_payload, solve_params
 
 __all__ = ["ServiceConfig", "SchedulerService"]
 
+#: Seconds ``shutdown`` waits for in-flight requests before closing.
+DRAIN_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -91,8 +94,6 @@ class ServiceConfig:
         Result cache budget (encoded-JSON bytes).
     fast_threads:
         Thread-pool width for the heuristic tier.
-    drain_timeout:
-        Seconds ``shutdown`` waits for in-flight requests.
     listen:
         Explicit comm address (``tcp://host:port`` or ``inproc://name``)
         overriding ``host``/``port``.  This is how a shard serves over
@@ -119,7 +120,6 @@ class ServiceConfig:
     stream_threshold: float = 0.5
     cache_bytes: int = 64 * 1024 * 1024
     fast_threads: int = 4
-    drain_timeout: float = 30.0
     listen: str | None = None
     node_id: str = ""
     max_line_bytes: int = DEFAULT_MAX_FRAME
@@ -143,8 +143,6 @@ class ServiceConfig:
             )
         if self.fast_threads < 1:
             raise ValueError(f"fast_threads must be >= 1, got {self.fast_threads}")
-        if self.drain_timeout <= 0:
-            raise ValueError("drain_timeout must be positive")
 
 
 class _GaBackend:
@@ -337,7 +335,7 @@ class SchedulerService:
         await self.start()
         try:
             await self._shutdown_event.wait()
-            deadline = time.monotonic() + self.config.drain_timeout
+            deadline = time.monotonic() + DRAIN_TIMEOUT_S
             while self._active > 0 and time.monotonic() < deadline:
                 await asyncio.sleep(0.02)
             await asyncio.sleep(0.05)  # let the final acks flush
