@@ -111,17 +111,17 @@ def run_zoo(
             "makespan", params=sa_params, rng=stream("zoo.annealing")
         )
         ga = RobustScheduler(epsilon=1.0, params=ga_params, rng=stream("zoo.ga"))
+        heft = HeftScheduler().schedule(problem)
         static = [
-            ("heft", HeftScheduler()),
-            ("cpop", CpopScheduler()),
-            ("peft", PeftScheduler()),
-            ("minmin", MinMinScheduler()),
-            ("heft-q0.9", QuantileHeftScheduler(0.9)),
-            ("annealing", annealer),
-            ("robust-ga", ga),
+            ("heft", heft),
+            ("cpop", CpopScheduler().schedule(problem)),
+            ("peft", PeftScheduler().schedule(problem)),
+            ("minmin", MinMinScheduler().schedule(problem)),
+            ("heft-q0.9", QuantileHeftScheduler(0.9).schedule(problem)),
+            ("annealing", annealer.schedule(problem)),
+            ("robust-ga", ga.solve(problem, heft_schedule=heft).schedule),
         ]
-        for name, scheduler in static:
-            schedule = scheduler.schedule(problem)
+        for name, schedule in static:
             report = assess_robustness(schedule, n_real, rng=stream("zoo.mc"))
             record(name, report)
         if include_dynamic:

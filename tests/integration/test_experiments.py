@@ -255,12 +255,26 @@ class TestZooDriver:
             <= result.metrics["heft"]["m0"] * (1 + 1e-9)
         )
 
+    def test_robust_ga_reuses_the_heft_row(self):
+        """HEFT runs for the heft row and the annealer's seed, not again
+        for the robust GA's ``M_HEFT`` and seed."""
+        from repro.experiments.zoo import run_zoo
+
+        scale = dataclasses.replace(SCALES["smoke"], n_graphs=1, n_realizations=20)
+        sink = InMemorySink()
+        obs_runtime.enable(sink)
+        try:
+            run_zoo(ExperimentConfig(scale=scale, seed=3), 2.0, include_dynamic=False)
+        finally:
+            obs_runtime.disable()
+        spans = sink.spans("algebra.solve")
+        assert [s["attrs"]["scheduler"] for s in spans].count("heft") == 2
+
     def test_streams_are_distinct_and_follow_the_seed(self, monkeypatch):
         """The annealer, GA, Monte-Carlo and online streams of an instance
         draw different numbers, each moves with ``config.seed``, and every
         static scheduler is assessed on the same Monte-Carlo draws."""
         from repro.experiments import zoo
-        from repro.heuristics import HeftScheduler
 
         def first_draws(rng):
             gen = (
@@ -273,10 +287,10 @@ class TestZooDriver:
         def streams(seed):
             drawn = {}
 
-            def scheduler_spy(role):
+            def scheduler_spy(role, cls):
                 def build(*args, rng, **kwargs):
                     drawn.setdefault(role, []).append(first_draws(rng))
-                    return HeftScheduler()
+                    return cls(*args, rng=rng, **kwargs)
 
                 return build
 
@@ -287,8 +301,10 @@ class TestZooDriver:
 
                 return run
 
-            monkeypatch.setattr(zoo, "AnnealingScheduler", scheduler_spy("sa"))
-            monkeypatch.setattr(zoo, "RobustScheduler", scheduler_spy("ga"))
+            for role, name in (("sa", "AnnealingScheduler"), ("ga", "RobustScheduler")):
+                monkeypatch.setattr(
+                    zoo, name, scheduler_spy(role, getattr(zoo, name))
+                )
             for role, name in (("mc", "assess_robustness"), ("online", "assess_dynamic")):
                 monkeypatch.setattr(
                     zoo, name, assess_spy(role, getattr(zoo, name))
