@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.schedule.evaluation import evaluate
 from repro.schedule.schedule import Schedule
@@ -45,6 +44,35 @@ from repro.schedule.schedule import Schedule
 __all__ = ["clark_max", "ClarkEstimate", "clark_makespan", "analytic_robustness"]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+_ndtr_ufunc = None
+
+
+def _ndtr(x):
+    """Standard normal CDF ``Phi``: ``scipy.special.ndtr``, the function
+    ``scipy.stats.norm.cdf`` calls, so values match it bit for bit
+    (``norm.sf(z)`` is ``_ndtr(-z)``).
+
+    scipy loads on the first call rather than on ``import repro``; this
+    estimator is its only user.  A float argument gives ``np.float64``.
+    """
+    global _ndtr_ufunc
+    if _ndtr_ufunc is None:
+        from scipy.special import ndtr
+
+        _ndtr_ufunc = ndtr
+    return _ndtr_ufunc(x)
+
+
+def _norm_pdf(z):
+    """Standard normal density, bit for bit ``scipy.stats.norm.pdf``.
+
+    scipy evaluates ``np.exp(-x**2 / 2.0)`` on arrays, where ``x**2`` is
+    ``x * x``; on a scalar ``**`` calls ``pow``, which rounds differently
+    for some inputs, so the square is spelled out.  ``-0.5 *`` keeps the
+    sign of a NaN that a unary minus would flip.
+    """
+    return np.exp(-0.5 * (z * z)) / _SQRT_TWO_PI
 
 
 def clark_max(
@@ -79,7 +107,7 @@ def clark_max(
         return mean_b, var_b
     alpha = math.sqrt(a2)
     x = (mean_a - mean_b) / alpha
-    cdf = norm.cdf(x)
+    cdf = _ndtr(x)
     pdf = math.exp(-0.5 * x * x) / _SQRT_TWO_PI
     mean = mean_a * cdf + mean_b * (1.0 - cdf) + alpha * pdf
     second = (
@@ -104,7 +132,8 @@ class ClarkEstimate:
         """Normal-theory ``P(M > threshold)``."""
         if self.std <= 0:
             return float(self.mean > threshold)
-        return float(norm.sf((threshold - self.mean) / self.std))
+        z = (threshold - self.mean) / self.std
+        return float(_ndtr(-z))
 
     def mean_relative_tardiness(self, threshold: float) -> float:
         """Normal-theory ``E[(M - threshold)+] / threshold``."""
@@ -113,7 +142,9 @@ class ClarkEstimate:
         if self.std <= 0:
             return max(0.0, self.mean - threshold) / threshold
         z = (threshold - self.mean) / self.std
-        expected_excess = self.std * norm.pdf(z) + (self.mean - threshold) * norm.sf(z)
+        expected_excess = (
+            self.std * _norm_pdf(z) + (self.mean - threshold) * _ndtr(-z)
+        )
         return float(max(expected_excess, 0.0) / threshold)
 
 
@@ -153,7 +184,7 @@ def _clark_max_canonical(
         # Identical spreads: keep the dominant operand's form.
         return (mean, coef_a if mean_a >= mean_b else coef_b)
     x = (mean_a - mean_b) / math.sqrt(a2)
-    tightness = norm.cdf(x)
+    tightness = _ndtr(x)
     coef = tightness * coef_a + (1.0 - tightness) * coef_b
     coef_var = float(np.dot(coef * coef, var_d))
     if coef_var > 0 and var > 0:

@@ -1,12 +1,26 @@
 """Unit tests for the Clark analytical makespan approximation."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import repro
 from repro.heuristics.heft import HeftScheduler
 from repro.heuristics.random_sched import random_schedule
-from repro.robustness.clark import analytic_robustness, clark_makespan, clark_max
+from repro.robustness.clark import (
+    ClarkEstimate,
+    _ndtr,
+    _norm_pdf,
+    analytic_robustness,
+    clark_makespan,
+    clark_max,
+)
 from repro.robustness.montecarlo import assess_robustness
 from repro.schedule.schedule import Schedule
 from tests.conftest import make_random_problem
@@ -106,8 +120,6 @@ class TestClarkMakespan:
 
 class TestClarkEstimateMetrics:
     def test_miss_rate_normal_theory(self):
-        from repro.robustness.clark import ClarkEstimate
-
         est = ClarkEstimate(
             mean=100.0, std=10.0, completion_means=np.zeros(1), completion_vars=np.zeros(1)
         )
@@ -115,8 +127,6 @@ class TestClarkEstimateMetrics:
         assert est.miss_rate(110.0) == pytest.approx(float(norm.sf(1.0)))
 
     def test_tardiness_normal_theory(self):
-        from repro.robustness.clark import ClarkEstimate
-
         est = ClarkEstimate(
             mean=100.0, std=10.0, completion_means=np.zeros(1), completion_vars=np.zeros(1)
         )
@@ -128,8 +138,6 @@ class TestClarkEstimateMetrics:
             est.mean_relative_tardiness(0.0)
 
     def test_zero_std_estimates(self):
-        from repro.robustness.clark import ClarkEstimate
-
         est = ClarkEstimate(
             mean=50.0, std=0.0, completion_means=np.zeros(1), completion_vars=np.zeros(1)
         )
@@ -171,3 +179,80 @@ class TestAnalyticRobustness:
             "r1",
             "r2",
         }
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestNormalFunctions:
+    """Phi, its complement and the density equal ``scipy.stats.norm``'s
+    bit for bit, called one scalar at a time as the estimator calls them."""
+
+    SPECIAL = (0.0, -0.0, 1e-300, -1e-300, 8.3, -8.3, 38.5, -38.5, 40.0, -40.0,
+               np.inf, -np.inf, np.nan)
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        rng = np.random.default_rng(23)
+        return np.concatenate([
+            rng.normal(0.0, 5.0, 60_000),
+            rng.uniform(-40.0, 40.0, 40_000),
+            np.array(self.SPECIAL),
+        ])
+
+    def test_cdf(self, values):
+        got = [_ndtr(float(v)) for v in values]
+        np.testing.assert_array_equal(_bits(got), _bits(norm.cdf(values)))
+
+    def test_sf(self, values):
+        got = [_ndtr(-float(v)) for v in values]
+        np.testing.assert_array_equal(_bits(got), _bits(norm.sf(values)))
+
+    def test_pdf(self, values):
+        got = [_norm_pdf(float(v)) for v in values]
+        np.testing.assert_array_equal(_bits(got), _bits(norm.pdf(values)))
+
+    def test_scalar_types(self):
+        assert type(_ndtr(0.3)) is np.float64
+        assert type(_norm_pdf(0.3)) is np.float64
+
+    def test_estimate_metrics_match_scipy_formulas(self):
+        rng = np.random.default_rng(5)
+        for mean, std, threshold in rng.uniform([50, 0.1, 40], [150, 30, 160], (2000, 3)):
+            est = ClarkEstimate(
+                mean=mean, std=std, completion_means=np.zeros(1), completion_vars=np.zeros(1)
+            )
+            z = (threshold - mean) / std
+            excess = std * norm.pdf(z) + (mean - threshold) * norm.sf(z)
+            assert _bits(est.miss_rate(threshold)) == _bits(float(norm.sf(z)))
+            assert _bits(est.mean_relative_tardiness(threshold)) == _bits(
+                float(max(excess, 0.0) / threshold)
+            )
+
+
+def test_scipy_loads_on_first_analytic_call():
+    """Importing the package loads neither scipy nor networkx; the first
+    Clark estimate loads ``scipy.special`` but not ``scipy.stats``.  This
+    needs a fresh interpreter: the test session has imported scipy."""
+    script = textwrap.dedent("""
+        import sys
+
+        import repro, repro.cli, repro.experiments, repro.service
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx"))
+
+        assert loaded() == [], loaded()
+        problem = repro.SchedulingProblem.random(m=2, dag_params=repro.DagParams(n=6), rng=0)
+        repro.analytic_robustness(repro.HeftScheduler().schedule(problem))
+        assert "scipy.special" in sys.modules, loaded()
+        assert "scipy.stats" not in sys.modules, loaded()
+    """)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
