@@ -250,8 +250,20 @@ class EnergyScheduler:
         self.slack_ratio = float(slack_ratio)
         self.warm_start = warm_start
 
-    def solve(self, problem: SchedulingProblem) -> EnergyResult:
-        """Run the full pipeline on *problem*."""
+    def solve(
+        self,
+        problem: SchedulingProblem,
+        *,
+        heft_schedule: Schedule | None = None,
+    ) -> EnergyResult:
+        """Run the full pipeline on *problem*.
+
+        ``heft_schedule`` is *problem*'s HEFT schedule when the caller
+        already has it (a sweep solving one instance for several ε); HEFT
+        then does not run again.
+        """
+        if heft_schedule is not None and heft_schedule.problem is not problem:
+            raise ValueError("heft_schedule must schedule the problem being solved")
         power = self.power
         degenerate = power is None or power.is_null
         with obs.trace(
@@ -260,7 +272,8 @@ class EnergyScheduler:
             power=(power.name if power is not None else "none"),
             degenerate=degenerate,
         ):
-            heft_schedule = HeftScheduler().schedule(problem)
+            if heft_schedule is None:
+                heft_schedule = HeftScheduler().schedule(problem)
             m_heft = expected_makespan(heft_schedule)
             if degenerate:
                 fitness = EpsilonConstraintFitness(self.epsilon, m_heft)

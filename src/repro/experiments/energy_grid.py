@@ -184,7 +184,7 @@ def _instance_cells(
                     params=params,
                     rng=ga_rng,
                     slack_ratio=slack_ratio,
-                ).solve(problem).schedule
+                ).solve(problem, heft_schedule=heft_schedule).schedule
                 outcomes.append(
                     _cell(strategy, eps, schedule, min_slack, si, ki)
                 )

@@ -191,11 +191,12 @@ def energy_front(
     mirroring :func:`epsilon_front` — the two sweeps can share a seed and
     stay bit-reproducible side by side.
     """
+    heft = HeftScheduler().schedule(problem)
 
     def solve(eps: float, stream: np.random.Generator) -> tuple:
         result = EnergyScheduler(
             eps, power, params, stream, slack_ratio=slack_ratio
-        ).solve(problem)
+        ).solve(problem, heft_schedule=heft)
         return (result.schedule, result.expected_makespan, result.avg_slack,
                 result.energy, result.m_heft)
 

@@ -260,6 +260,51 @@ class TestEnergyObjective:
                         np.all(obj[j] <= obj[i]) and np.any(obj[j] < obj[i])
                     )
 
+    def test_heft_runs_once_per_sweep(self):
+        from repro.obs import InMemorySink
+        from repro.obs import runtime as obs_runtime
+
+        problem = _problem(seed=3, n=10)
+        sink = InMemorySink()
+        obs_runtime.enable(sink)
+        try:
+            energy_front(
+                problem,
+                PowerModel.default(4),
+                epsilons=(1.0, 1.3, 1.6),
+                params=GAParams(population_size=8, max_iterations=2),
+                rng=5,
+            )
+        finally:
+            obs_runtime.disable()
+        spans = sink.spans("algebra.solve")
+        assert [s["attrs"]["scheduler"] for s in spans] == ["heft"]
+
+    def test_callers_heft_schedule_gives_the_same_solve(self):
+        problem = _problem(seed=1, n=30)
+        power = PowerModel.default(4)
+
+        def solve(**kwargs):
+            return EnergyScheduler(
+                epsilon=1.4, power=power, params=_PARAMS, rng=7, slack_ratio=0.5
+            ).solve(problem, **kwargs)
+
+        own = solve()
+        given = solve(heft_schedule=own.heft_schedule)
+        assert given.heft_schedule is own.heft_schedule
+        assert (given.m_heft, given.min_slack) == (own.m_heft, own.min_slack)
+        assert np.array_equal(given.schedule.proc_of, own.schedule.proc_of)
+        assert given.ga_result.history.best_fitness == (
+            own.ga_result.history.best_fitness
+        )
+
+    def test_heft_schedule_of_another_problem_is_rejected(self):
+        other = HeftScheduler().schedule(_problem(seed=1))
+        with pytest.raises(ValueError, match="problem being solved"):
+            EnergyScheduler(power=PowerModel.default(4), params=_PARAMS, rng=0).solve(
+                _problem(seed=0), heft_schedule=other
+            )
+
 
 # --------------------------------------------------------------------------- #
 # Replication
