@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.algebra.catalogue import CATALOGUE, component_scheduler
 from repro.cluster import TaskSpec
+from repro.experiments.config import R1_CAP
 from repro.experiments.grid import run_grid
 from repro.experiments.runner import capped
 from repro.graph.generator import DagParams, random_dag
@@ -56,9 +57,6 @@ __all__ = [
 
 #: Graph families the grid sweeps by default.
 FAMILIES = ("layered", "gauss", "fft", "forkjoin")
-
-#: Default R1/R2 cap when averaging (inf = never tardy / never missed).
-R_CAP = 1e6
 
 
 def family_graph(
@@ -200,16 +198,14 @@ class AlgoGridResults:
         """Every (family, instance) outcome of one combination."""
         return [o for o in self.outcomes if o.combo == combo]
 
-    def ranking(
-        self, by: str = "makespan", cap: float = R_CAP
-    ) -> list[tuple[str, float]]:
+    def ranking(self, by: str = "makespan") -> list[tuple[str, float]]:
         """Combinations ranked best-first by one criterion.
 
         ``makespan`` scores each combination by the mean, over grid
         cells, of its expected makespan divided by the best
         combination's on the same cell (1.0 = always best; lower is
         better).  ``r1`` / ``r2`` score by the instance-mean robustness
-        with infinite values capped at *cap* (higher is better).
+        with infinite values capped at ``R1_CAP`` (higher is better).
         """
         if by == "makespan":
             best: dict[tuple[str, int], float] = {}
@@ -237,7 +233,7 @@ class AlgoGridResults:
                     combo,
                     float(
                         np.mean([
-                            capped(getattr(o, by), cap)
+                            capped(getattr(o, by), R1_CAP)
                             for o in self.cells(combo)
                         ])
                     ),
@@ -252,23 +248,19 @@ class AlgoGridResults:
 
     def to_table(self, by: str = "makespan") -> str:
         """Ranked summary, one row per combination."""
-        rank = dict(self.ranking(by))
         rows = []
         for position, (combo, score) in enumerate(self.ranking(by), 1):
             cells = self.cells(combo)
             rows.append([
                 position,
                 combo,
-                float(rank[combo]) if by == "makespan" else float(
-                    np.mean([
-                        o.expected_makespan for o in cells
-                    ])
-                ),
+                score if by == "makespan"
+                else float(np.mean([o.expected_makespan for o in cells])),
                 float(np.mean([o.mean_makespan for o in cells])),
                 float(np.mean([o.avg_slack for o in cells])),
                 float(np.mean([o.miss_rate for o in cells])),
-                float(np.mean([capped(o.r1, R_CAP) for o in cells])),
-                float(np.mean([capped(o.r2, R_CAP) for o in cells])),
+                float(np.mean([capped(o.r1, R1_CAP) for o in cells])),
+                float(np.mean([capped(o.r2, R1_CAP) for o in cells])),
             ])
         head = "M ratio" if by == "makespan" else "mean M0"
         return format_table(
