@@ -8,13 +8,12 @@ individual at a time.  :class:`PopulationEvaluator` removes that overhead
 by evaluating the *whole population* in a single call on ``(P, n)``
 scheduling-string and processor-map arrays:
 
-* the native path binds the problem's kernel inputs, scratch rows and
-  thread count once per evaluator (one GA run), then hands each
-  population to the ``ga_population_eval`` C kernel
-  (:mod:`repro.graph._native`), which checks every row (processors in
-  range, a permutation, a topological order — every index bounds-checked
-  before use), decodes and runs both level passes entirely in C,
-  OpenMP-parallel over individuals;
+* the native path binds the problem's kernel inputs and scratch rows
+  once per evaluator (one GA run), then hands each population to the
+  ``ga_population_eval`` C kernel (:mod:`repro.graph._native`), which
+  checks every row (processors in range, a permutation, a topological
+  order — every index bounds-checked before use), decodes and runs both
+  level passes entirely in C, one individual after another;
 * the numpy fallback (no compiler, ``REPRO_NATIVE=0``) runs the same
   checks in numpy, builds each individual's disjunctive edge list
   directly — skipping the full :class:`Schedule` object — and reuses the
@@ -47,8 +46,6 @@ kernels produce on the same inputs.
 from __future__ import annotations
 
 import ctypes
-import multiprocessing
-import os
 from typing import Sequence
 
 import numpy as np
@@ -154,9 +151,9 @@ class PopulationEvaluator:
     """One problem's population kernel, bound once for many calls.
 
     Construction resolves the backend and, for the native kernel, the
-    problem's CSR indexes, edge data, transfer rates, durations, scratch
-    rows and thread count, so a GA generation costs one kernel call with
-    two input and two output pointers.
+    problem's CSR indexes, edge data, transfer rates, durations and
+    scratch rows, so a GA generation costs one kernel call with two
+    input and two output pointers.
 
     Parameters
     ----------
@@ -178,13 +175,6 @@ class PopulationEvaluator:
         self._lib = _native.get_lib() if self.n else None
         if self._lib is None:
             return
-        self._threads = 1
-        # libgomp's thread pool does not survive fork(): a worker forked
-        # after its parent ran a parallel region would wait forever in its
-        # own, for threads that were never copied.  Worker processes run
-        # single-threaded; the results do not depend on the thread count.
-        if self._lib.has_openmp() and multiprocessing.parent_process() is None:
-            self._threads = max(1, os.cpu_count() or 1)
         graph = problem.graph
         dag = ArrayDag.from_taskgraph(graph)
         # Every array behind a bound pointer stays referenced by _keep.
@@ -198,8 +188,8 @@ class PopulationEvaluator:
             np.ascontiguousarray(graph.edge_data, dtype=np.float64),
             np.ascontiguousarray(problem.platform._inv_rates),
             self._dur,
-            np.empty((self._threads, 3 * self.n), dtype=np.float64),
-            np.empty((self._threads, self.m + self.n), dtype=np.int64),
+            np.empty(3 * self.n, dtype=np.float64),
+            np.empty(self.m + self.n, dtype=np.int64),
         )
         self._bound = tuple(a.ctypes.data for a in self._keep)
 
@@ -254,7 +244,6 @@ class PopulationEvaluator:
             P,
             n,
             self.m,
-            min(P, self._threads),
             orders.ctypes.data,
             procs.ctypes.data,
             *self._bound,

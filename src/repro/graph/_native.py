@@ -21,9 +21,11 @@ Six kernels live here:
   for each individual, checks the row (processors in range, a
   permutation, a topological order), then performs the decode (chain
   edges are implicit in the string), the disjunctive forward and
-  backward passes and the slack computation entirely in C, parallelised
-  over individuals with OpenMP when the toolchain supports ``-fopenmp``
-  (probed at compile time; ``has_openmp`` reports the outcome).
+  backward passes and the slack computation entirely in C, one
+  individual after another on one set of scratch rows.  Parallelism
+  lives one level up, in processes (``repro.cluster`` workers, service
+  shards, ``--workers`` grids): the library starts no threads, so a
+  forked process evaluates exactly as its parent.
 
 * **GA selection and variation** (``ga_next_generation``): one
   generation's systematic binary tournament, pairing permutation,
@@ -166,7 +168,7 @@ import subprocess
 import tempfile
 import threading
 
-__all__ = ["GaRows", "GaRun", "bitgen", "get_lib", "has_openmp"]
+__all__ = ["GaRows", "GaRun", "bitgen", "get_lib"]
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -228,20 +230,6 @@ void ft_forward(int64_t n, int64_t r,
     }
 }
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
-/* 1 when the library was compiled with OpenMP support. */
-int64_t has_openmp(void)
-{
-#ifdef _OPENMP
-    return 1;
-#else
-    return 0;
-#endif
-}
-
 /* One individual of the population kernel (see ga_population_eval).
  *
  * The disjunctive graph is never materialised: walking the scheduling
@@ -252,8 +240,8 @@ int64_t has_openmp(void)
  * 0.0), which max() absorbs, so the candidate set matches the
  * deduplicated disjunctive graph bit-for-bit.
  *
- * tl/bl/w are per-thread scratch rows of length n; cur is a
- * per-thread scratch row of length m.
+ * tl/bl/w are scratch rows of length n; cur is a scratch row of
+ * length m.
  */
 static void ga_eval_one(
     int64_t n, int64_t m,
@@ -382,8 +370,6 @@ static int64_t ga_check_one(
  *
  * pop      : number of individuals
  * n, m     : tasks, processors
- * n_threads: OpenMP width (scratch has this many rows); ignored without
- *            OpenMP
  * orders   : (pop, n) scheduling strings (topological orders)
  * procs    : (pop, n) processor index per task
  * pred_*   : task-graph in-edge CSR (indptr by dst, edge ids, sources)
@@ -391,8 +377,8 @@ static int64_t ga_check_one(
  * edata    : (ne,) per-edge data sizes
  * inv_rates: (m, m) reciprocal transfer rates, zero diagonal
  * dur      : (n, m) duration of task v on processor p
- * ws_f     : (n_threads, 3n) float scratch
- * ws_i     : (n_threads, m + n) int scratch
+ * ws_f     : (3n,) float scratch
+ * ws_i     : (m + n,) int scratch
  * makespans: (pop,) output
  * slacks   : (pop, n) output
  *
@@ -402,7 +388,7 @@ static int64_t ga_check_one(
  * fail validation are not evaluated and the outputs are then undefined.
  */
 int64_t ga_population_eval(
-    int64_t pop, int64_t n, int64_t m, int64_t n_threads,
+    int64_t pop, int64_t n, int64_t m,
     const int64_t *orders, const int64_t *procs,
     const int64_t *pred_indptr, const int64_t *pred_eidx,
     const int64_t *esrc,
@@ -413,18 +399,9 @@ int64_t ga_population_eval(
     double *makespans, double *slacks)
 {
     int64_t rc = 4; /* above every error code: min() keeps the first check */
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads((int)n_threads) reduction(min:rc)
-#endif
     for (int64_t p = 0; p < pop; p++) {
-        int64_t t = 0;
-#ifdef _OPENMP
-        t = (int64_t)omp_get_thread_num();
-#endif
-        double *tl = ws_f + t * 3 * n;
-        int64_t *cur = ws_i + t * (m + n);
         int64_t code = ga_check_one(n, m, 1, orders + p * n, procs + p * n,
-                                    pred_indptr, pred_eidx, esrc, cur + m);
+                                    pred_indptr, pred_eidx, esrc, ws_i + m);
         if (code) {
             if (code < rc)
                 rc = code;
@@ -434,7 +411,7 @@ int64_t ga_population_eval(
                     pred_indptr, pred_eidx, esrc,
                     succ_indptr, succ_eidx, edst,
                     edata, inv_rates, dur,
-                    tl, tl + n, tl + 2 * n, cur,
+                    ws_f, ws_f + n, ws_f + 2 * n, ws_i,
                     makespans + p, slacks + p * n);
     }
     return rc == 4 ? 0 : rc;
@@ -1404,8 +1381,6 @@ _lock = threading.Lock()
 _FLAG_SETS = tuple(
     [*flags, "-ffp-contract=off"]
     for flags in (
-        ["-O3", "-march=native", "-fopenmp"],
-        ["-O3", "-fopenmp"],
         ["-O3", "-march=native"],
         ["-O3"],
         ["-O2"],
@@ -1463,11 +1438,10 @@ class GaRun(ctypes.Structure):
 def _compile(so_path: str, c_path: str) -> bool:
     """Try progressively more conservative flag sets; True on success.
 
-    OpenMP variants come first so the population kernel parallelises
-    over individuals where the toolchain allows; plain builds remain
-    fully functional (single-threaded population loop).  The temp object
-    is pid-unique and moved into place atomically, so concurrent
-    *processes* sharing the cache directory cannot observe a torn file.
+    ``-march=native`` comes first and is dropped when the toolchain
+    rejects it.  The temp object is pid-unique and moved into place
+    atomically, so concurrent *processes* sharing the cache directory
+    cannot observe a torn file.
     """
     tmp = f"{so_path}.{os.getpid()}.tmp"
     for flags in _FLAG_SETS:
@@ -1506,10 +1480,8 @@ def _load() -> ctypes.CDLL | None:
     lib.ft_forward.argtypes = [ctypes.c_int64, ctypes.c_int64] + [
         ctypes.c_void_p
     ] * 7
-    lib.has_openmp.restype = ctypes.c_int64
-    lib.has_openmp.argtypes = []
     lib.ga_population_eval.restype = ctypes.c_int64
-    lib.ga_population_eval.argtypes = [ctypes.c_int64] * 4 + [
+    lib.ga_population_eval.argtypes = [ctypes.c_int64] * 3 + [
         ctypes.c_void_p
     ] * 15
     lib.rg_random.restype = ctypes.c_double
@@ -1572,9 +1544,12 @@ def get_lib() -> ctypes.CDLL | None:
 
 
 def has_openmp() -> bool:
-    """Whether the loaded kernel library was compiled with OpenMP."""
-    lib = get_lib()
-    return bool(lib is not None and lib.has_openmp())
+    """Always ``False``: the kernels are built without OpenMP.
+
+    Only ``perfbench/run.py``'s ``env.openmp`` row reads this; it goes
+    when a benchmark change drops that row.
+    """
+    return False
 
 
 def bitgen(gen) -> int:
