@@ -4,10 +4,9 @@
 Runs the Fig. 4/5 grid workload (``run_eps_grid`` on a smoke-scale
 config) through ``repro.cluster`` at 1, 2 and 4 workers and writes
 cells-per-second plus the engine's dispatch overhead to
-``BENCH_cluster.json`` at the repository root.  Like
-``scripts/bench_kernels.py`` this establishes a trajectory across PRs:
-run it before and after touching the scheduler, worker or checkpoint
-paths and compare.
+``BENCH_cluster.json`` at the repository root.  This establishes a
+trajectory across PRs: run it before and after touching the scheduler,
+worker or checkpoint paths and compare.
 
 Usage::
 

@@ -17,7 +17,7 @@ Medians go to ``BENCH_stream.json`` at the repository root.  Extra
 top-level blocks (recorded baselines) are always preserved;
 ``--baseline NAME`` additionally snapshots the *existing* file's stream
 medians into a new ``NAME`` block before the fresh numbers overwrite
-them — the same mechanism as ``bench_kernels.py``.
+them (``bench_util.write_record``).
 
 Usage::
 

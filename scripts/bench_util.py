@@ -5,9 +5,9 @@ root and wants the same three things:
 
 * :func:`median_ms` — median wall-clock timing over a time budget;
 * :func:`bench_meta` — the environment block every record must carry
-  (python/numpy versions, ``cpu_count``, native-kernel and OpenMP
-  availability — on a 1-core CI box the parallel speedup numbers mean
-  nothing without it);
+  (python/numpy versions, ``cpu_count``, native-kernel availability —
+  on a 1-core CI box the parallel speedup numbers mean nothing without
+  it);
 * :func:`write_record` — the snapshot-preserving writer: extra
   top-level blocks in the existing file are always kept verbatim, and
   ``--baseline NAME`` archives the existing file's live sections into a
@@ -45,13 +45,11 @@ def bench_meta(**extra) -> dict:
     """The environment block every ``BENCH_*.json`` record carries."""
     from repro.graph import _native
 
-    lib = _native.get_lib()
     meta = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "native_kernel": lib is not None,
-        "openmp": bool(lib is not None and _native.has_openmp()),
+        "native_kernel": _native.get_lib() is not None,
     }
     meta.update(extra)
     return meta

@@ -20,9 +20,9 @@ The layer is **zero-cost when disabled** — the default.  Every
 instrumentation point guards on the module-level session: ``obs.trace``
 is one global read plus a cached no-op context manager, and attribute
 computation at call sites is skipped entirely unless ``obs.enabled()``.
-Instrumented hot paths (``batch_makespans``, GA generations) stay within
-noise of their untraced baselines; ``scripts/bench_obs.py`` records the
-overhead into ``BENCH_obs.json``.
+The cost of tracing when enabled is measured end to end:
+``perfbench/run.py --trace 1`` reports every workload's
+``obs.overhead_frac`` (traced over untraced wall time, minus 1).
 
 Determinism: span ids are assigned in start order, records are emitted
 in close order, attribute keys are sorted, and metric records are
