@@ -161,6 +161,7 @@ def _clark_max_canonical(
     coef_a: np.ndarray,
     mean_b: float,
     coef_b: np.ndarray,
+    var_b: float,
     var_d: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Clark max in canonical first-order form.
@@ -170,9 +171,9 @@ def _clark_max_canonical(
     correlation at every join is exact.  The result's coefficients are the
     tightness-weighted blend, rescaled to match the Clark variance — the
     standard canonical-form propagation from statistical timing analysis.
+    *var_b* is ``coef_b``'s variance, which the caller already holds.
     """
     var_a = float(np.dot(coef_a * coef_a, var_d))
-    var_b = float(np.dot(coef_b * coef_b, var_d))
     cov = float(np.dot(coef_a * coef_b, var_d))
     denom = math.sqrt(var_a * var_b)
     rho = cov / denom if denom > 0 else 0.0
@@ -236,9 +237,9 @@ def clark_makespan(schedule: Schedule, *, track_correlations: bool = True) -> Cl
                         start_coef,
                         float(cand_mean[k]),
                         coefs[int(src[k])],
+                        float(c_var[int(src[k])]),
                         var_d,
                     )
-                start_var = float(np.dot(start_coef * start_coef, var_d))
             else:
                 start_coef = None
                 start_var = float(c_var[int(src[0])])
@@ -265,7 +266,7 @@ def clark_makespan(schedule: Schedule, *, track_correlations: bool = True) -> Cl
         m_coef = coefs[int(exits[0])].copy()
         for v in exits[1:]:
             m_mean, m_coef = _clark_max_canonical(
-                m_mean, m_coef, float(c_mean[v]), coefs[int(v)], var_d
+                m_mean, m_coef, float(c_mean[v]), coefs[int(v)], float(c_var[v]), var_d
             )
         m_var = float(np.dot(m_coef * m_coef, var_d))
     else:
