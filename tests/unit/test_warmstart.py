@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import SchedulingProblem
+from repro.core.robust import RobustScheduler
 from repro.ga.chromosome import (
     Chromosome,
     random_chromosome,
@@ -259,3 +260,23 @@ class TestEngineWarmStart:
             warm_start=[cold.best.chromosome],
         ).run(problem)
         assert warm.best_fitness >= cold.best_fitness
+
+    def test_repeat_traffic_converges_in_fewer_generations(self):
+        # Repeat traffic as the service sees it: each instance was solved
+        # once, then comes back with a new seed.  Seeding the re-solve with
+        # the first solve's best chromosome cuts generations-to-converge;
+        # the counts are exact and the same on both kernel backends.
+        params = GAParams(max_iterations=300, stagnation_limit=20)
+        cold, warm = [], []
+        for i in range(5):
+            problem = _problem(100 + i, n=40, m=4)
+            first = RobustScheduler(1.2, params, rng=1).solve(problem)
+            seed = first.ga_result.best.chromosome
+            cold.append(RobustScheduler(1.2, params, rng=2).solve(problem))
+            warm.append(
+                RobustScheduler(1.2, params, rng=2, warm_start=[seed]).solve(
+                    problem
+                )
+            )
+        assert [r.ga_result.generations for r in cold] == [24, 131, 71, 55, 70]
+        assert [r.ga_result.generations for r in warm] == [20, 40, 34, 148, 20]
