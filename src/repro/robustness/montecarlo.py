@@ -71,7 +71,6 @@ def assess_robustness(
     rng: np.random.Generator | int | None = None,
     *,
     family: str = "uniform",
-    chunk_size: int | None = None,
 ) -> RobustnessReport:
     """Run the Monte-Carlo robustness experiment for one schedule.
 
@@ -87,9 +86,6 @@ def assess_robustness(
         Duration distribution family (see
         :meth:`~repro.platform.uncertainty.UncertaintyModel.realize_durations`);
         the paper's model is ``"uniform"``.
-    chunk_size:
-        Optional realization-axis chunking for very large ``N`` (see
-        :func:`~repro.schedule.evaluation.batch_makespans`).
 
     Returns
     -------
@@ -98,17 +94,15 @@ def assess_robustness(
     Raises
     ------
     ValueError
-        If ``n_realizations < 1`` or ``chunk_size < 1`` — validated here,
-        at the API boundary, instead of surfacing as an opaque failure
-        deep inside the batched kernel.
+        If ``n_realizations < 1`` — validated here, at the API boundary,
+        instead of surfacing as an opaque failure deep inside the
+        batched kernel.
     """
     n_realizations = int(n_realizations)
     if n_realizations < 1:
         raise ValueError(
             f"n_realizations must be >= 1, got {n_realizations}"
         )
-    if chunk_size is not None and int(chunk_size) < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     gen = as_generator(rng)
     with obs.trace(
         "mc.assess_robustness", n_realizations=n_realizations, family=family
@@ -121,9 +115,7 @@ def assess_robustness(
             )
         # Freshly sampled durations are finite and non-negative by
         # construction, so skip the validation scan.
-        realized = batch_makespans(
-            schedule, durations, validate=False, chunk_size=chunk_size
-        )
+        realized = batch_makespans(schedule, durations, validate=False)
         realized.setflags(write=False)
         return RobustnessReport(
             expected_makespan=m0,

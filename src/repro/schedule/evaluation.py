@@ -13,10 +13,9 @@ Implements the paper's evaluation semantics:
 :func:`batch_makespans` evaluates many realizations at once: durations of
 shape ``(R, n)`` flow through one level-synchronous forward pass with numpy
 doing the work across the ``R`` axis — the hot path of the Monte-Carlo
-robustness evaluator (Sec. 5 runs 1000 realizations per schedule).  Two
-knobs serve that hot path: ``validate=False`` skips the finiteness scan for
-internally generated duration arrays, and ``chunk_size`` splits very large
-batches so the working set stays cache-resident.
+robustness evaluator (Sec. 5 runs 1000 realizations per schedule).
+``validate=False`` serves that hot path: it skips the finiteness scan for
+internally generated duration arrays.
 
 :class:`ScheduleEvaluation` computes its backward-pass quantities
 (``bottom_levels``, ``slacks``) lazily: the makespan needs only the forward
@@ -181,7 +180,6 @@ def batch_makespans(
     durations: np.ndarray,
     *,
     validate: bool = True,
-    chunk_size: int | None = None,
 ) -> np.ndarray:
     """Makespans of many duration realizations in one vectorized pass.
 
@@ -197,12 +195,6 @@ def batch_makespans(
         Scan *durations* for negative / non-finite entries (default).
         Internal callers that just sampled the array from an uncertainty
         model pass ``False`` to skip the redundant ``O(R·n)`` scan.
-    chunk_size:
-        Evaluate at most this many realizations per kernel pass.  For
-        10k+ realization batches the per-level candidate arrays outgrow
-        the CPU caches; chunking keeps them resident at a tiny cost in
-        Python-loop overhead.  ``None`` (default) runs the whole batch in
-        one pass.
 
     Returns
     -------
@@ -220,8 +212,6 @@ def batch_makespans(
         # scans replace four mask allocations.
         if not (durations.min() >= 0.0 and durations.max() < np.inf):
             raise ValueError("durations must be finite and non-negative")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
 
     # The pruned Monte-Carlo view drops chain-dominated same-processor
     # edges; makespans are bit-identical because durations are known
@@ -230,23 +220,16 @@ def batch_makespans(
     dag, edge_w = schedule._mc_graph()
     n_real = durations.shape[0]
     if not obs.enabled():
-        return _batch_kernel(dag, edge_w, durations, n_real, chunk_size)
+        return _batch_kernel(dag, edge_w, durations)
     with obs.trace("eval.batch_makespans", n_realizations=n_real) as span:
         t0 = time.perf_counter()
-        out = _batch_kernel(dag, edge_w, durations, n_real, chunk_size)
+        out = _batch_kernel(dag, edge_w, durations)
         obs.observe("eval.batch_makespans_seconds", time.perf_counter() - t0)
         span.set(n_tasks=schedule.n)
         return out
 
 
-def _batch_kernel(dag, edge_w, durations, n_real, chunk_size):
+def _batch_kernel(dag, edge_w, durations):
     """The untraced batched forward pass (shared by both obs modes)."""
-    if chunk_size is None or n_real <= chunk_size:
-        out = dag.makespan(durations, edge_w, nonnegative=True)
-        return np.asarray(out, dtype=np.float64)
-
-    out = np.empty(n_real, dtype=np.float64)
-    for lo in range(0, n_real, chunk_size):
-        hi = min(lo + chunk_size, n_real)
-        out[lo:hi] = dag.makespan(durations[lo:hi], edge_w, nonnegative=True)
-    return out
+    out = dag.makespan(durations, edge_w, nonnegative=True)
+    return np.asarray(out, dtype=np.float64)

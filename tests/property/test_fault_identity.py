@@ -61,21 +61,6 @@ def test_zero_fault_assessment_is_bit_identical(ps, seed, n_realizations):
     assert faulty.n_redispatches == 0
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    ps=scheduled_problems(max_n=8),
-    seed=st.integers(0, 2**31 - 1),
-    chunk_size=st.integers(1, 6),
-)
-def test_zero_fault_identity_holds_under_chunking(ps, seed, chunk_size):
-    _, schedule = ps
-    plain = assess_robustness(schedule, 8, rng=seed, chunk_size=chunk_size)
-    faulty = assess_robustness_faulty(
-        schedule, None, 8, rng=seed, chunk_size=chunk_size
-    )
-    _identical(faulty, plain)
-
-
 @settings(max_examples=40, deadline=None)
 @given(ps=scheduled_problems(max_n=10), seed=st.integers(0, 2**31 - 1))
 def test_never_firing_tail_fault_changes_nothing(ps, seed):

@@ -520,8 +520,6 @@ class TestAssessRobustnessFaulty:
             assess_robustness_faulty(heft_schedule, policy="hope")
         with pytest.raises(ValueError, match="n_realizations"):
             assess_robustness_faulty(heft_schedule, n_realizations=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            assess_robustness_faulty(heft_schedule, n_realizations=5, chunk_size=0)
         with pytest.raises(ValueError, match="processor"):
             assess_robustness_faulty(
                 heft_schedule,

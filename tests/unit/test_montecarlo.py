@@ -79,10 +79,6 @@ class TestAssessRobustness:
 
 
 class TestArgumentValidation:
-    def test_rejects_bad_chunk_size(self, uncertain_schedule):
-        with pytest.raises(ValueError, match="chunk_size"):
-            assess_robustness(uncertain_schedule, 10, chunk_size=0)
-
     def test_rejects_negative_realizations(self, uncertain_schedule):
         with pytest.raises(ValueError, match="n_realizations"):
             assess_robustness(uncertain_schedule, -5)
