@@ -20,10 +20,11 @@ import numpy as np
 
 from repro.core.robust import RobustScheduler
 from repro.experiments.workloads import make_problems
+from repro.faults.assess import assess_robustness_faulty
 from repro.heuristics.heft import HeftScheduler
 from repro.robustness.metrics import mean_relative_tardiness, miss_rate
 from repro.robustness.montecarlo import assess_robustness
-from repro.sim.dynamic import assess_dynamic, simulate_semi_dynamic
+from repro.sim.dynamic import simulate_semi_dynamic
 from repro.utils.tables import format_table
 
 
@@ -55,7 +56,9 @@ def _run(bench_config):
         ).solve(problem).schedule
         heft_rep = assess_robustness(heft, n_real, rng=3 * i)
         robust_rep = assess_robustness(robust, n_real, rng=3 * i + 1)
-        dynamic_rep = assess_dynamic(problem, n_real, rng=3 * i + 2)
+        dynamic_rep = assess_robustness_faulty(
+            heft, None, n_real, rng=3 * i + 2, policy="dynamic"
+        )
         semi_m0, semi_ms = _assess_semi(problem, heft.proc_of, n_real, 3 * i + 2)
         for name, m0, mean_m, tard, miss in [
             ("heft-static", heft_rep.expected_makespan, heft_rep.mean_makespan,

@@ -17,13 +17,13 @@ import numpy as np
 from repro.core.robust import RobustScheduler
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import make_problems
+from repro.faults.assess import assess_robustness_faulty
 from repro.heuristics import MinMinScheduler, QuantileHeftScheduler
 from repro.heuristics.annealing import AnnealingParams, AnnealingScheduler
 from repro.heuristics.cpop import CpopScheduler
 from repro.heuristics.heft import HeftScheduler
 from repro.heuristics.peft import PeftScheduler
 from repro.robustness.montecarlo import assess_robustness
-from repro.sim.dynamic import assess_dynamic
 from repro.utils.rng import role_stream
 from repro.utils.tables import format_table
 
@@ -98,7 +98,7 @@ def run_zoo(
         )
         slot["m0"].append(report.expected_makespan)
         slot["mean_makespan"].append(report.mean_makespan)
-        slot["avg_slack"].append(getattr(report, "avg_slack", float("nan")))
+        slot["avg_slack"].append(report.avg_slack)
         slot["mean_tardiness"].append(report.mean_tardiness)
         slot["miss_rate"].append(report.miss_rate)
 
@@ -125,7 +125,9 @@ def run_zoo(
             report = assess_robustness(schedule, n_real, rng=stream("zoo.mc"))
             record(name, report)
         if include_dynamic:
-            online = assess_dynamic(problem, n_real, rng=stream("zoo.online_mc"))
+            online = assess_robustness_faulty(
+                heft, None, n_real, rng=stream("zoo.online_mc"), policy="dynamic"
+            )
             record("online-mct", online)
         if progress is not None:
             progress(f"zoo UL={mean_ul:g}: instance {i + 1}/{len(problems)}")

@@ -14,13 +14,7 @@ environment ``env`` (e.g. :class:`repro.faults.FaultEnvironment`);
 without one they run the fault-free rule.
 """
 
-from repro.sim.dynamic import (
-    DynamicReport,
-    DynamicRun,
-    assess_dynamic,
-    simulate_dynamic,
-    simulate_semi_dynamic,
-)
+from repro.sim.dynamic import DynamicRun, simulate_dynamic, simulate_semi_dynamic
 from repro.sim.eventsim import GanttEntry, SimulationResult, simulate
 
 __all__ = [
@@ -30,6 +24,4 @@ __all__ = [
     "simulate_dynamic",
     "simulate_semi_dynamic",
     "DynamicRun",
-    "assess_dynamic",
-    "DynamicReport",
 ]

@@ -14,9 +14,10 @@ implements that baseline so the trade-off can be measured:
 * the task's realized duration is revealed only when it completes.
 
 Because decisions depend on the realization, the "schedule" differs per
-run; robustness is measured on the makespan sample exactly as for static
-schedules (Defs. 3.6/3.7, with ``M_0`` the makespan of the run fed the
-expected durations).
+run; :func:`repro.faults.assess_robustness_faulty` with
+``policy="dynamic"`` measures robustness on the makespan sample exactly
+as for static schedules (Defs. 3.6/3.7, with ``M_0`` the makespan of the
+run fed the expected durations).
 
 Both rules here, online MCT and semi-dynamic, take the optional fault
 environment of :func:`repro.sim.eventsim.simulate`.  A task moved to
@@ -36,22 +37,13 @@ import numpy as np
 from repro.core.problem import SchedulingProblem
 from repro.heuristics.heft import upward_ranks
 from repro.obs import runtime as obs
-from repro.robustness.metrics import (
-    mean_relative_tardiness,
-    miss_rate,
-    robustness_miss_rate,
-    robustness_tardiness,
-)
 from repro.sim.eventsim import check_env
-from repro.utils.rng import as_generator
 
 __all__ = [
     "DynamicRun",
     "luck_fractions",
     "simulate_dynamic",
     "simulate_semi_dynamic",
-    "DynamicReport",
-    "assess_dynamic",
 ]
 
 
@@ -422,56 +414,4 @@ def simulate_semi_dynamic(
         proc_of=cur_proc,
         start_times=start,
         finish_times=finish,
-    )
-
-
-@dataclass(frozen=True)
-class DynamicReport:
-    """Monte-Carlo robustness of the online policy (mirrors RobustnessReport)."""
-
-    expected_makespan: float
-    realized_makespans: np.ndarray
-    mean_makespan: float
-    mean_tardiness: float
-    miss_rate: float
-    r1: float
-    r2: float
-
-
-def assess_dynamic(
-    problem: SchedulingProblem,
-    n_realizations: int = 1000,
-    rng: np.random.Generator | int | None = None,
-) -> DynamicReport:
-    """Monte-Carlo evaluation of the online policy on *problem*.
-
-    ``M_0`` is the makespan of the run executed with the expected
-    durations (the promise a user would be given up front); realizations
-    draw the full ``(n, m)`` duration matrix so the online policy's
-    processor choice always sees a consistent world.
-    """
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    gen = as_generator(rng)
-    priorities = upward_ranks(problem)
-
-    m0 = simulate_dynamic(problem, problem.expected_times, priorities).makespan
-
-    unc = problem.uncertainty
-    low = unc.bcet
-    high = (2.0 * unc.ul - 1.0) * unc.bcet
-    makespans = np.empty(n_realizations, dtype=np.float64)
-    for r in range(n_realizations):
-        durations = gen.uniform(low, high)
-        makespans[r] = simulate_dynamic(problem, durations, priorities).makespan
-    makespans.setflags(write=False)
-
-    return DynamicReport(
-        expected_makespan=m0,
-        realized_makespans=makespans,
-        mean_makespan=float(makespans.mean()),
-        mean_tardiness=mean_relative_tardiness(makespans, m0),
-        miss_rate=miss_rate(makespans, m0),
-        r1=robustness_tardiness(makespans, m0),
-        r2=robustness_miss_rate(makespans, m0),
     )

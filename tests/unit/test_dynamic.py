@@ -5,7 +5,9 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.sim.dynamic import assess_dynamic, simulate_dynamic, simulate_semi_dynamic
+from repro.faults import assess_robustness_faulty
+from repro.heuristics.heft import HeftScheduler
+from repro.sim.dynamic import simulate_dynamic, simulate_semi_dynamic
 from tests.conftest import make_random_problem
 
 
@@ -153,9 +155,18 @@ class TestSimulateDynamic:
         assert worst_run.makespan > expected_run.makespan
 
 
+def _online_report(problem, n_realizations, rng):
+    """The online policy's Monte-Carlo report (only the problem of the
+    schedule is used)."""
+    schedule = HeftScheduler().schedule(problem)
+    return assess_robustness_faulty(
+        schedule, None, n_realizations, rng, policy="dynamic"
+    )
+
+
 class TestAssessDynamic:
     def test_report_fields(self, small_random_problem):
-        report = assess_dynamic(small_random_problem, 50, rng=0)
+        report = _online_report(small_random_problem, 50, rng=0)
         assert report.realized_makespans.shape == (50,)
         assert report.mean_makespan == pytest.approx(
             report.realized_makespans.mean()
@@ -163,16 +174,12 @@ class TestAssessDynamic:
         assert 0.0 <= report.miss_rate <= 1.0
 
     def test_reproducible(self, small_random_problem):
-        a = assess_dynamic(small_random_problem, 30, rng=5)
-        b = assess_dynamic(small_random_problem, 30, rng=5)
+        a = _online_report(small_random_problem, 30, rng=5)
+        b = _online_report(small_random_problem, 30, rng=5)
         assert np.array_equal(a.realized_makespans, b.realized_makespans)
 
-    def test_rejects_bad_count(self, small_random_problem):
-        with pytest.raises(ValueError):
-            assess_dynamic(small_random_problem, 0)
-
     def test_deterministic_problem_no_variance(self, diamond_problem):
-        report = assess_dynamic(diamond_problem, 20, rng=1)
+        report = _online_report(diamond_problem, 20, rng=1)
         assert np.allclose(report.realized_makespans, report.expected_makespan)
         assert report.miss_rate == 0.0
 
