@@ -24,18 +24,24 @@ two ``(Np, n)`` int64 arrays — scheduling strings and processor maps —
 for the whole run, and each generation writes its children in place into
 a second pair of buffers.  :meth:`GeneticScheduler.run` keeps the one
 generation loop — the ``ga.generation`` spans, the counters, the stop
-rule and the result — over a run state with
-:class:`~repro.ga.popeval.NativeRun`'s interface: ``step(g)``, the
-``stats`` of the last step, the ``(6, G + 1)`` history ``hist`` and the
-incumbent's rows ``best_order`` and ``best_proc``.  Two implement it:
+reason and the result — over a run state with
+:class:`~repro.ga.popeval.NativeRun`'s interface: ``advance(g, g_end)``
+runs generations ``g .. g_end - 1`` and stops after the one whose
+``stagnation`` count (generations without improvement) reaches the
+stagnation limit; ``stats`` holds the last generation's counts, ``hist``
+the ``(6, G + 1)`` history and ``log`` the incumbent log, one row pair
+per improvement.  Untraced, one ``advance`` call runs the whole GA;
+traced, each call runs one generation inside its ``ga.generation`` span.
+Two implement it:
 
 * **The native step** (:class:`~repro.ga.popeval.NativeRun`): with the
   native library loaded, the paper's operators and exactly one of the
   paper's three policies (:class:`MakespanFitness`, :class:`SlackFitness`,
-  :class:`EpsilonConstraintFitness`), a whole generation — selection,
-  variation, evaluation of the rows not already in the parents, both
-  scorings, elitism, the improvement rule and the history — is one C
-  call that draws the same numbers from the run's Generator.
+  :class:`EpsilonConstraintFitness`), any number of generations —
+  selection, variation, evaluation of the rows not already in the
+  parents, both scorings, elitism, the improvement rule, the stagnation
+  stop, the history and the incumbent log — is one C call that draws the
+  same numbers from the run's Generator.
 * **The Python step** (:class:`_PythonRun`), its drop-in reference and
   the run state of every other policy, operator override and backend.
   It evaluates the distinct rows the run has not seen before in one
@@ -52,9 +58,10 @@ incumbent's rows ``best_order`` and ``best_proc``.  Two implement it:
   Operator overrides (``crossover_fn`` / ``mutation_fn``) receive
   :class:`Chromosome` copies of their rows.
 
-Either way the loop builds a :class:`Chromosome` only when the incumbent
-improves; :class:`GAHistory` repeats it while it stands, and the returned
-best is an :class:`Individual` over the last one.
+Either way the run builds one :class:`Chromosome` per row of the
+incumbent log after its last generation; :class:`GAHistory` repeats
+each while it stands, and the returned best is an :class:`Individual`
+over the last one.
 """
 
 from __future__ import annotations
@@ -80,7 +87,12 @@ from repro.ga.fitness import (
     SlackFitness,
 )
 from repro.ga.mutation import mutate, mutate_row
-from repro.ga.popeval import NativeRun, PopulationEvaluator, reserve_history
+from repro.ga.popeval import (
+    NativeRun,
+    PopulationEvaluator,
+    check_generations,
+    reserve_history,
+)
 from repro.ga.selection import binary_tournament
 from repro.obs import runtime as obs
 from repro.schedule.schedule import Schedule
@@ -430,6 +442,7 @@ class GeneticScheduler:
             params.crossover_prob,
             params.mutation_prob,
             params.max_iterations,
+            params.stagnation_limit,
         )
 
     def run(
@@ -460,29 +473,29 @@ class GeneticScheduler:
             orders = np.stack([c.order for c in population])
             procs = np.stack([c.proc_of for c in population])
             run = self._run_state(evaluator, orders, procs)
-            run.step(0)
-            incumbents = [_incumbent(run)]
-
-            stagnation = 0
-            generations = 0
-            stop_reason = "max_iterations"
-            for _ in range(params.max_iterations):
-                generations += 1
-                with obs.trace("ga.generation", gen=generations) as gen_span:
-                    if run.step(generations):
-                        stagnation = 0
-                        incumbents.append(_incumbent(run))
-                    else:
-                        stagnation += 1
-                    if obs.enabled():
-                        _annotate(gen_span, run, generations, len(orders))
-                if stagnation >= params.stagnation_limit:
-                    stop_reason = "stagnation"
-                    break
+            # Untraced, one call runs the whole GA; traced, generation 0,
+            # then one call and one span per generation.
+            generations = run.advance(
+                0, 1 if obs.enabled() else params.max_iterations + 1
+            )
+            while (
+                generations < params.max_iterations
+                and run.stagnation < params.stagnation_limit
+            ):
+                with obs.trace("ga.generation", gen=generations + 1) as gen_span:
+                    generations = run.advance(generations + 1, generations + 2)
+                    _annotate(gen_span, run, generations, len(orders))
+            stop_reason = (
+                "stagnation"
+                if run.stagnation >= params.stagnation_limit
+                else "max_iterations"
+            )
 
             best, makespan, slack, mean, diversity, index = run.hist[
                 :, : generations + 1
             ].tolist()
+            log = run.log.copy()
+            incumbents = [Chromosome(*rows) for rows in zip(log[0], log[1])]
             chromosomes = [incumbents[int(k)] for k in index]
             history = GAHistory(best, makespan, slack, mean, diversity, chromosomes)
             best_ind = Individual(
@@ -522,11 +535,6 @@ def _row_chromosome(orders: np.ndarray, procs: np.ndarray, i: int) -> Chromosome
     return Chromosome(order=orders[i].copy(), proc_of=procs[i].copy())
 
 
-def _incumbent(run) -> Chromosome:
-    """A :class:`Chromosome` over copies of the run's incumbent rows."""
-    return Chromosome(run.best_order.copy(), run.best_proc.copy())
-
-
 def _annotate(span, run, g: int, pop: int) -> None:
     """Generation *g*'s counters and convergence telemetry, read from the
     run state's ``stats`` and ``hist``."""
@@ -551,14 +559,14 @@ class _PythonRun:
     drop-in reference, and the run state of every other policy, operator
     and backend.
 
-    It has the same interface — :meth:`step`, ``stats``, ``hist``,
-    ``best_order`` and ``best_proc`` — and writes the same history.  Each
-    generation varies the parents into the child buffers, scores the
-    children (evaluating the rows the run has not seen in one
-    population-kernel call), replaces the worst child by the incumbent
-    (elitism, Sec. 4.2.3), scores again and applies the improvement rule.
-    ``stats`` counts the feasible rows when the policy has an
-    ``is_feasible`` method, else holds -1 there.
+    It has the same interface — :meth:`advance`, ``stats``, ``hist``,
+    ``log`` and ``stagnation`` — and writes the same history and
+    incumbent log, one generation at a time.  Each generation varies the
+    parents into the child buffers, scores the children (evaluating the
+    rows the run has not seen in one population-kernel call), replaces
+    the worst child by the incumbent (elitism, Sec. 4.2.3), scores again
+    and applies the improvement rule.  ``stats`` counts the feasible rows
+    when the policy has an ``is_feasible`` method, else holds -1 there.
     """
 
     def __init__(
@@ -571,6 +579,7 @@ class _PythonRun:
         self.engine = engine
         self.evaluator = evaluator
         self.max_generations = engine.params.max_iterations
+        self.stagnation_limit = engine.params.stagnation_limit
         P, n = orders.shape
         problem = evaluator.problem
         self.parents = Population(problem, orders, procs, np.empty(P), np.empty(P))
@@ -580,9 +589,17 @@ class _PythonRun:
         self.cache: dict[bytes, tuple[float, float]] = {}
         self.is_feasible = getattr(engine.fitness, "is_feasible", None)
         self.hist = np.empty((6, 0))
-        self.best_order = np.empty(n, dtype=np.int64)
-        self.best_proc = np.empty(n, dtype=np.int64)
+        self._log = np.empty((2, 0, n), dtype=np.int64)
+        self.gen = self.n_improved = -1
+        self.stagnation = 0
         self.stats = (False, 0, 0, -1)
+
+    @property
+    def log(self) -> np.ndarray:
+        """The incumbent log, read-only, as :attr:`NativeRun.log`."""
+        view = self._log[:, : self.n_improved + 1]
+        view.flags.writeable = False
+        return view
 
     def _evaluate(self, pop: Population) -> list[bytes]:
         """Fill *pop*'s metrics and return its rows' keys.
@@ -612,28 +629,40 @@ class _PythonRun:
     def _take(
         self, pop: Population, keys: list[bytes], scores: np.ndarray, i: int
     ) -> None:
-        """Make row *i* of *pop* the incumbent."""
-        self.best_order[:] = pop.orders[i]
-        self.best_proc[:] = pop.procs[i]
+        """Make row *i* of *pop* the incumbent: log row ``n_improved``."""
+        self._log[:, self.n_improved] = pop.orders[i], pop.procs[i]
         self.best_metrics = (float(pop.makespans[i]), float(pop.avg_slacks[i]))
         self.best_key = keys[i]
         self.best_score = float(scores[i])
 
-    def step(self, g: int) -> bool:
+    def advance(self, g: int, g_end: int) -> int:
+        """Run generations ``g .. g_end - 1`` as :meth:`NativeRun.advance`
+        does; raises what the evaluation and the policy raise, and the
+        same ``IndexError`` and ``ValueError`` for the generations."""
+        check_generations(g, g_end, self.max_generations, self.gen)
+        for g in range(g, g_end):
+            self.hist, self._log = reserve_history(
+                self.hist, self._log, g, self.max_generations
+            )
+            self._step(g)
+            self.gen = g
+            if self.stagnation >= self.stagnation_limit:
+                break
+        return self.gen
+
+    def _step(self, g: int) -> None:
         """Run generation *g* (0 evaluates and scores the initial
-        population); True when the incumbent improved.  Raises what the
-        evaluation and the policy raise, and ``IndexError`` for a
-        generation outside ``0..max_iterations``."""
-        self.hist = reserve_history(self.hist, g, self.max_generations)
+        population)."""
         engine = self.engine
         fitness = engine.fitness
         improved = False
         if g == 0:
+            self.gen = self.n_improved = -1
             pop = self.parents
             keys = self._evaluate(pop)
             scores = fitness.scores(pop)
+            self.n_improved = self.stagnation = 0
             self._take(pop, keys, scores, int(np.argmax(scores)))
-            self.n_improved = 0
             counts = (0, 0)
         else:
             parents, pop = self.parents, self.children
@@ -653,8 +682,7 @@ class _PythonRun:
             # is refreshed because the replacement may shift the feasible
             # set.
             worst = int(np.argmin(scores))
-            pop.orders[worst] = self.best_order
-            pop.procs[worst] = self.best_proc
+            pop.orders[worst], pop.procs[worst] = self._log[:, self.n_improved]
             pop.makespans[worst], pop.avg_slacks[worst] = self.best_metrics
             keys[worst] = self.best_key
             scores = fitness.scores(pop)
@@ -669,8 +697,11 @@ class _PythonRun:
                 incumbent <= 0.0 and score > incumbent + 1e-15
             )
             if improved:
-                self._take(pop, keys, scores, best)
                 self.n_improved += 1
+                self._take(pop, keys, scores, best)
+                self.stagnation = 0
+            else:
+                self.stagnation += 1
         self.scores = scores
         n_feasible = -1
         if self.is_feasible is not None:
@@ -683,7 +714,6 @@ class _PythonRun:
             len(set(keys)) / len(keys),
             self.n_improved,
         )
-        return improved
 
 
 #: ``GeneticScheduler`` policies the native step computes, by exact type.
