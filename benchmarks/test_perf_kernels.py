@@ -2,7 +2,9 @@
 
 These are real timing benchmarks (multiple rounds), covering the paths
 the GA and Monte-Carlo evaluation hammer: schedule construction, static
-evaluation, vectorized batch makespans, one GA generation, and HEFT.
+evaluation, vectorized batch makespans, a whole Monte-Carlo report (one
+``mc_makespans`` call with the native library), one GA generation, the
+GA's initial population (one ``ga_random_rows`` call), and HEFT.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from repro.graph.generator import DagParams
 from repro.heuristics.heft import HeftScheduler
 from repro.heuristics.random_sched import random_schedule
 from repro.platform.uncertainty import UncertaintyParams
+from repro.robustness.montecarlo import assess_robustness
 from repro.schedule.evaluation import batch_makespans, evaluate
 from repro.schedule.schedule import Schedule
 
@@ -52,6 +55,21 @@ def test_perf_batch_makespans_1000(benchmark, paper_schedule):
     durations = paper_schedule.realize_durations(1000, rng=1)
     out = benchmark(lambda: batch_makespans(paper_schedule, durations))
     assert out.shape == (1000,)
+
+
+def test_perf_assess_robustness_1000(benchmark, paper_schedule):
+    """Draws and makespans of 1000 realizations, then the report."""
+    report = benchmark(lambda: assess_robustness(paper_schedule, 1000, rng=1))
+    assert report.n_realizations == 1000
+
+
+def test_perf_initial_population(benchmark, paper_problem, paper_schedule):
+    """The HEFT seed and 19 uniqueness-checked random rows."""
+    engine = GeneticScheduler(SlackFitness(), GAParams(), rng=3)
+    orders, _ = benchmark(
+        lambda: engine._initial_population(paper_problem, paper_schedule)
+    )
+    assert orders.shape == (20, 100)
 
 
 def test_perf_heft_100_tasks(benchmark, paper_problem):

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
+from repro.graph import _native
+from repro.graph.analysis import ArrayDag
 from repro.graph.topology import is_topological_order, random_topological_order
 from repro.schedule.schedule import Schedule
 from repro.utils.rng import as_generator
@@ -24,6 +26,7 @@ from repro.utils.rng import as_generator
 __all__ = [
     "Chromosome",
     "random_chromosome",
+    "random_rows",
     "heft_chromosome",
     "repair_chromosome",
 ]
@@ -107,6 +110,76 @@ def random_chromosome(
     order = random_topological_order(problem.graph, gen)
     proc_of = gen.integers(problem.m, size=problem.n)
     return Chromosome(order=order, proc_of=proc_of)
+
+
+def random_rows(
+    problem: SchedulingProblem,
+    rng: np.random.Generator,
+    orders: np.ndarray,
+    procs: np.ndarray,
+    k: int,
+    budget: int,
+) -> None:
+    """Fill rows ``k..`` of a GA population's ``(Np, n)`` arrays at random.
+
+    Each candidate is a :func:`random_chromosome`.  While *budget* lasts,
+    each candidate spends one and is drawn again when it equals an earlier
+    row, the paper's uniqueness check (Sec. 4.2.2); after that every
+    candidate is kept, so tiny search spaces fill with duplicates instead
+    of failing.  With the native library loaded this is one
+    ``ga_random_rows`` call (:mod:`repro.graph._native`) that draws the
+    same numbers; the loop below is its reference.
+    """
+    n = problem.n
+    if (
+        orders.shape != procs.shape
+        or orders.ndim != 2
+        or orders.shape[1] != n
+        or not 0 <= k <= orders.shape[0]
+        or orders.dtype != np.int64
+        or procs.dtype != np.int64
+        or not orders.flags.c_contiguous
+        or not procs.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"rows {k}.. of C-contiguous int64 arrays of shape (Np, {n}) "
+            f"cannot be filled: got {orders.shape} and {procs.shape}"
+        )
+    lib = _native.get_lib()
+    if lib is not None:
+        graph = problem.graph
+        dag = ArrayDag.from_taskgraph(graph)
+        size = orders.shape[0]
+        scratch = np.empty(2 * n + 5 * size, dtype=np.int64)
+        with rng.bit_generator.lock:
+            rc = lib.ga_random_rows(
+                size,
+                k,
+                n,
+                problem.m,
+                budget,
+                dag.succ_indptr.ctypes.data,
+                dag.succ_eidx.ctypes.data,
+                graph.edge_dst.ctypes.data,
+                _native.bitgen(rng),
+                orders.ctypes.data,
+                procs.ctypes.data,
+                scratch.ctypes.data,
+            )
+        if rc == 1:
+            raise ValueError("task graph contains a cycle")
+        if rc:
+            raise ValueError("population too large for 32-bit draws")
+        return
+    seen = {orders[i].tobytes() + procs[i].tobytes() for i in range(k)}
+    for i in range(k, orders.shape[0]):
+        while True:
+            cand = random_chromosome(problem, rng)
+            budget -= 1
+            if budget < 0 or cand.key() not in seen:
+                break
+        seen.add(cand.key())
+        orders[i], procs[i] = cand.order, cand.proc_of
 
 
 def repair_chromosome(

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.core.problem import SchedulingProblem
-from repro.ga.chromosome import Chromosome
+from repro.ga.chromosome import Chromosome, random_rows
 from repro.ga.engine import GAParams, GAResult, GeneticScheduler
 from repro.ga.fitness import FitnessPolicy
 from repro.obs import runtime as obs
@@ -85,15 +87,19 @@ class _SeededEngine(GeneticScheduler):
         super().__init__(*args, **kwargs)
         self._seed_population: list[Chromosome] = list(seed_population or [])
 
-    def _initial_population(self, problem: SchedulingProblem):
+    def _initial_population(self, problem: SchedulingProblem, heft_schedule):
+        """The seed population, capped at ``Np``, then random rows with no
+        uniqueness check (a zero budget); the engine's own population
+        when there is no seed."""
         if not self._seed_population:
-            return super()._initial_population(problem)
-        base = list(self._seed_population[: self.params.population_size])
-        while len(base) < self.params.population_size:
-            from repro.ga.chromosome import random_chromosome
-
-            base.append(random_chromosome(problem, self._rng))
-        return base
+            return super()._initial_population(problem, heft_schedule)
+        seeds = self._seed_population[: self.params.population_size]
+        orders = np.empty((self.params.population_size, problem.n), dtype=np.int64)
+        procs = np.empty_like(orders)
+        for i, c in enumerate(seeds):
+            orders[i], procs[i] = c.order, c.proc_of
+        random_rows(problem, self._rng, orders, procs, len(seeds), 0)
+        return orders, procs
 
 
 def _elites_of(result: GAResult, pop_size: int) -> list[Chromosome]:

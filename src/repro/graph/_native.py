@@ -1,6 +1,6 @@
 """Optional C acceleration for the longest-path, GA and list-scheduling kernels.
 
-Six kernels live here:
+Eight kernels live here:
 
 * **Batched makespans** (``ft_forward``): the Monte-Carlo hot loop reduces
   to one forward pass over the disjunctive graph with a wide realization
@@ -44,6 +44,26 @@ Six kernels live here:
 * **Random topological orders** (``random_topo_order``): the swap-pop
   ready-list walk of :func:`repro.graph.topology.random_topological_order`
   (the GA's random initial orders) over the successor CSR.
+
+* **Monte-Carlo makespans** (``mc_makespans``): ``assess_robustness``
+  and ``convergence_profile`` under the paper's uniform model, in blocks
+  of :data:`MC_BLOCK` realizations.  Each block's durations are drawn
+  node-major as ``Generator.uniform(low, high, size=(R, n))`` draws them
+  (``rg_uniform``: ``low + span * next_double``, realization by
+  realization), then ``ft_forward`` runs the block over the schedule's
+  disjunctive graph and each realization's makespan is the largest
+  finish time over the sinks, so the ``(R, n)`` durations never exist.
+  ``realize_durations`` then ``batch_makespans`` stays the reference; it
+  walks a pruned graph, without the same-processor edges the processor
+  chain dominates, which cannot change a makespan of non-negative
+  durations.
+
+* **The GA's initial population** (``ga_random_rows``): rows ``k..``
+  of a run's ``(Np, n)`` arrays, each candidate a ``random_topo_order``
+  walk then ``Generator.integers(m, size=n)``; while the uniqueness
+  budget lasts, a candidate equal to an earlier row (a row hash, then a
+  full compare) is drawn again.  The ``random_chromosome`` loop of
+  :func:`repro.ga.chromosome.random_rows` stays the reference.
 
 * **The GA generations** (``ga_run_steps``): generations ``g`` up to
   ``g_end`` of ``GeneticScheduler.run`` for the paper's operators and its
@@ -115,9 +135,9 @@ Six kernels live here:
   ``tests/property/test_native_list_schedule.py`` holds it to the Python
   loop on every catalogue entry.
 
-The variation, walk and generation kernels draw from the caller's numpy
-``Generator`` and must draw exactly what numpy would, so every seeded
-trajectory is unchanged:
+The variation, walk, generation, Monte-Carlo and population kernels
+draw from the caller's numpy ``Generator`` and must draw exactly what
+numpy would, so every seeded trajectory is unchanged:
 
 * they reach it through the documented ``BitGenerator.ctypes`` interface
   (:func:`bitgen` gives the ``bitgen_t`` address) and draw only with its
@@ -127,24 +147,32 @@ trajectory is unchanged:
 * they reproduce numpy's algorithms: ``Generator.random`` is one
   ``next_double``; ``integers(lo, hi)`` is Lemire's method on 32-bit
   draws (no draw for a range of 1; a range of 2**32 or more is an error,
-  not a different draw); ``permutation(k)`` is an ``arange`` shuffled by
-  swapping ``i`` with a masked-rejection ``random_interval(i)`` for
-  ``i = k-1 .. 1``;
+  not a different draw), and ``integers(m, size=k)`` one such draw per
+  element; ``uniform(low, high, size=(R, n))`` is ``low + (high - low) *
+  next_double`` per element in C order; ``permutation(k)`` is an
+  ``arange`` shuffled by swapping ``i`` with a masked-rejection
+  ``random_interval(i)`` for ``i = k-1 .. 1``;
 * the caller holds ``bit_generator.lock`` for the whole call, as numpy's
   own methods do;
+* no kernel keeps static state; scratch belongs to the caller, so the
+  service's fast-tier threads may call any of them concurrently;
 * errors are return codes the caller raises as ``ValueError``:
   ``ga_next_generation`` gives the first failing row check (1 processor
   out of range, 2 not a permutation), 3 for an empty mutation window
   (not a topological order), or 4 for sizes a 32-bit draw cannot cover;
   ``random_topo_order`` gives 1 on a cycle and 2 for such sizes;
+  ``ga_random_rows`` gives 1 on a cycle and 4 for such sizes;
   ``ga_run_steps`` gives 3 or 4 as ``ga_next_generation`` does, the
   smallest ``ga_check_one`` code over the rows it evaluates, 6 for a
   generation after 0 before generation 0 has run, or 5 for a zero
   makespan under the makespan policy (raised as ``ZeroDivisionError``).
+  ``mc_makespans`` cannot fail: its caller raises numpy's
+  ``OverflowError`` for a non-finite range before calling it.
 
-``rg_random``, ``rg_integers`` and ``rg_permutation`` export the three
-draws so ``tests/unit/test_native_draws.py`` can hold them to numpy's on
-every bit generator.
+``rg_random``, ``rg_integers``, ``rg_permutation``, ``rg_integers_fill``
+and ``rg_uniform`` export the five draws so
+``tests/unit/test_native_draws.py`` can hold them to numpy's on every bit
+generator.
 
 The extension is strictly optional and self-contained:
 
@@ -182,9 +210,13 @@ import subprocess
 import tempfile
 import threading
 
-__all__ = ["GaRows", "GaRun", "bitgen", "get_lib"]
+__all__ = ["MC_BLOCK", "GaRows", "GaRun", "bitgen", "get_lib"]
 
-_C_SOURCE = r"""
+#: Realizations per block of ``mc_makespans``, compiled into the kernel;
+#: its scratch holds two node-major blocks.
+MC_BLOCK = 64
+
+_C_SOURCE = f"#define MC_BLOCK {MC_BLOCK}\n" + r"""
 #include <stdint.h>
 #include <string.h>
 
@@ -485,7 +517,7 @@ static void rg_permute(bitgen_t *bg, int64_t k, int64_t *out)
     }
 }
 
-/* The three draws as numpy's Generator makes them, for the contract
+/* The draws as numpy's Generator makes them, exported for the contract
  * tests.  rg_integers returns -1 (no draw) unless 1 <= hi - lo < 2^32. */
 double rg_random(bitgen_t *bg)
 {
@@ -506,6 +538,29 @@ int64_t rg_permutation(bitgen_t *bg, int64_t k, int64_t *out)
         return -1;
     rg_permute(bg, k, out);
     return 0;
+}
+
+/* Generator.integers(m, size=k): one rg_bounded draw per element, so
+ * none for m == 1.  Returns -1 (no draw) unless 1 <= m < 2^32. */
+int64_t rg_integers_fill(bitgen_t *bg, int64_t m, int64_t k, int64_t *out)
+{
+    if (m < 1 || m > (int64_t)UINT32_MAX)
+        return -1;
+    for (int64_t i = 0; i < k; i++)
+        out[i] = rg_bounded(bg, (uint64_t)(m - 1));
+    return 0;
+}
+
+/* Generator.uniform(low, low + span, size=(r, n)), written node-major:
+ * out[v * r + j] is task v's value in realization j.  numpy draws in C
+ * order over (r, n), each value low + span * next_double
+ * (random_uniform). */
+void rg_uniform(bitgen_t *bg, int64_t r, int64_t n,
+                const double *low, const double *span, double *out)
+{
+    for (int64_t j = 0; j < r; j++)
+        for (int64_t v = 0; v < n; v++)
+            out[v * r + j] = low[v] + span[v] * bg->next_double(bg->state);
 }
 
 /* random_topological_order's randomized Kahn walk: the ready list starts
@@ -544,6 +599,40 @@ int64_t random_topo_order(
         }
     }
     return 0;
+}
+
+/* Realized makespans of one schedule under the uniform duration model
+ * (realize_durations, then batch_makespans, is the reference).  The r
+ * realizations go in blocks of MC_BLOCK: rg_uniform draws a block's
+ * durations node-major into the first half of ws, ft_forward runs the
+ * forward pass over the schedule's disjunctive graph (topo, the
+ * by-destination CSR indptr/eidx, esrc, edge weights ew) into the second
+ * half, and a realization's makespan is its largest finish time over the
+ * n_sinks >= 1 sinks.  The reference first drops the same-processor
+ * edges the processor chain dominates; with non-negative durations
+ * their candidates never exceed the chain's, so the makespans agree bit
+ * for bit.  ws holds 2 * MC_BLOCK * n doubles. */
+void mc_makespans(int64_t n, int64_t r,
+                  const int64_t *topo, const int64_t *indptr,
+                  const int64_t *eidx, const int64_t *esrc, const double *ew,
+                  const int64_t *sinks, int64_t n_sinks,
+                  const double *low, const double *span,
+                  bitgen_t *bg, double *ws, double *out)
+{
+    double *nw = ws, *ft = ws + MC_BLOCK * n;
+    for (int64_t b = 0; b < r; b += MC_BLOCK) {
+        int64_t nb = r - b < MC_BLOCK ? r - b : MC_BLOCK;
+        double *mk = out + b;
+        rg_uniform(bg, nb, n, low, span, nw);
+        ft_forward(n, nb, topo, indptr, eidx, esrc, ew, nw, ft);
+        memcpy(mk, ft + sinks[0] * nb, nb * sizeof(double));
+        for (int64_t k = 1; k < n_sinks; k++) {
+            const double *f = ft + sinks[k] * nb;
+            for (int64_t j = 0; j < nb; j++)
+                if (f[j] > mk[j])
+                    mk[j] = f[j];
+        }
+    }
 }
 
 /* Whether a population of pop rows over n tasks and m processors fits
@@ -1081,6 +1170,54 @@ int64_t ga_run_steps(ga_run_t *r, bitgen_t *bg, int64_t g, int64_t g_end,
     return 0;
 }
 
+/* Whether row i of p equals a row already in the table (by hash, then a
+ * full compare); if not, row i goes in. */
+static int ga_seen(ga_run_t *r, ga_rows_t *p, int64_t i)
+{
+    const int64_t *ord = p->orders + i * r->n, *pr = p->procs + i * r->n;
+    p->hash[i] = ga_row_hash(r->n, ord, pr);
+    return ga_table_find(r, NULL, p, p->hash[i], ord, pr, r->pop + i) >= 0;
+}
+
+/* Rows k .. pop - 1 of a GA run's (pop, n) initial population (the
+ * random_chromosome loop of repro.ga.chromosome.random_rows is the
+ * reference).  Each candidate is a random_topo_order walk into the row's
+ * scheduling string, then Generator.integers(m, size=n) into its
+ * processor map.  While budget lasts, each candidate spends one and is
+ * drawn again when it equals an earlier row; after that every candidate
+ * is kept.  ws is int scratch of length 2n + 5 pop: the walk's, the row
+ * hashes, then a table of at least 2 pop slots.  Returns 0, 1 on a
+ * cycle, or 4 (nothing drawn) when the sizes do not fit the draws
+ * (ga_sizes_ok). */
+int64_t ga_random_rows(int64_t pop, int64_t k, int64_t n, int64_t m,
+                       int64_t budget,
+                       const int64_t *succ_indptr, const int64_t *succ_eidx,
+                       const int64_t *edst,
+                       bitgen_t *bg, int64_t *orders, int64_t *procs,
+                       int64_t *ws)
+{
+    if (!ga_sizes_ok(pop, n, m))
+        return 4;
+    ga_rows_t rows = {.orders = orders, .procs = procs,
+                      .hash = (uint64_t *)(ws + 2 * n)};
+    ga_run_t r = {.pop = pop, .n = n, .table = ws + 2 * n + pop,
+                  .table_mask = 1};
+    while (r.table_mask + 1 < 2 * pop)
+        r.table_mask = 2 * r.table_mask + 1;
+    ga_table_clear(&r);
+    for (int64_t i = 0; i < k && budget > 0; i++)
+        ga_seen(&r, &rows, i);
+    for (int64_t i = k; i < pop; i++) {
+        do {
+            if (random_topo_order(n, succ_indptr, succ_eidx, edst, bg,
+                                  orders + i * n, ws))
+                return 1;
+            rg_integers_fill(bg, m, n, procs + i * n); /* m fits: checked */
+        } while (budget-- > 0 && ga_seen(&r, &rows, i));
+    }
+    return 0;
+}
+
 /* The list scheduler's placement loop (ComponentScheduler._run; the
  * Python loop over PartialSchedule is the reference).  ls_t is one call's
  * state, on the caller's stack; its slot rows live in caller-owned
@@ -1576,8 +1713,25 @@ def _load() -> ctypes.CDLL | None:
     lib.rg_permutation.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
     ]
+    lib.rg_integers_fill.restype = ctypes.c_int64
+    lib.rg_integers_fill.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p
+    ]
+    lib.rg_uniform.restype = None
+    lib.rg_uniform.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] + [
+        ctypes.c_void_p
+    ] * 3
     lib.random_topo_order.restype = ctypes.c_int64
     lib.random_topo_order.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6
+    lib.mc_makespans.restype = None
+    lib.mc_makespans.argtypes = (
+        [ctypes.c_int64] * 2
+        + [ctypes.c_void_p] * 6
+        + [ctypes.c_int64]
+        + [ctypes.c_void_p] * 5
+    )
+    lib.ga_random_rows.restype = ctypes.c_int64
+    lib.ga_random_rows.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 7
     lib.ga_next_generation.restype = ctypes.c_int64
     lib.ga_next_generation.argtypes = (
         [ctypes.c_int64] * 3 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 13

@@ -6,7 +6,11 @@ Given the best-case execution time ``b_ij``, the actual execution time is
 .. math:: c_{ij} \\sim U\\bigl(b_{ij},\\; (2\\,UL_{ij} - 1)\\,b_{ij}\\bigr)
 
 so its expectation is ``E[c_ij] = UL_ij * b_ij``.  Schedulers are fed these
-*expected* times; Monte-Carlo evaluation samples realizations.
+*expected* times; Monte-Carlo evaluation samples realizations, each
+duration ``b + (high - b) * u`` for one ``Generator.random`` draw ``u``
+(:meth:`UncertaintyModel.uniform_support`): numpy's own ``uniform``
+formula, and the one the native Monte-Carlo kernel
+(:mod:`repro.graph._native`) reproduces in C.
 
 The ``UL`` matrix is generated "similarly to the way we set the computation
 cost matrix": a two-stage gamma around a scenario-wide mean ``UL`` with
@@ -143,6 +147,22 @@ class UncertaintyModel:
         high = (2.0 * self.ul[idx, proc_of] - 1.0) * low
         return low, high
 
+    def uniform_support(self, proc_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-task ``(low, high - low)`` of the uniform model under *proc_of*.
+
+        A realization is ``low + (high - low) * u`` with ``u`` one
+        ``Generator.random`` draw per task, in realization-major order:
+        bit for bit ``Generator.uniform(low, high, size=(N, n))``, with the
+        stream left in the same state.  The native Monte-Carlo kernel
+        draws exactly this.  Like ``uniform``, a non-finite range raises
+        ``OverflowError`` before anything is drawn.
+        """
+        low, high = self.duration_bounds(proc_of)
+        span = high - low
+        if not np.all(np.isfinite(span)):
+            raise OverflowError("Range exceeds valid bounds")
+        return low, span
+
     def realize_durations(
         self,
         proc_of: np.ndarray,
@@ -165,7 +185,8 @@ class UncertaintyModel:
             Duration distribution on the ``[b, (2·UL-1)·b]`` support:
 
             ``"uniform"``
-                The paper's model (default).
+                The paper's model (default), drawn as
+                :meth:`uniform_support` describes.
             ``"beta"``
                 ``Beta(2, 2)`` scaled to the support — same mean, 60 % of
                 the uniform's variance (bell-shaped).
@@ -189,10 +210,11 @@ class UncertaintyModel:
         if n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
         gen = as_generator(rng)
-        low, high = self.duration_bounds(proc_of)
         shape = (n_realizations, self.n)
         if family == "uniform":
-            return gen.uniform(low, high, size=shape)
+            low, span = self.uniform_support(proc_of)
+            return low + span * gen.random(shape)
+        low, high = self.duration_bounds(proc_of)
         if family == "beta":
             return low + (high - low) * gen.beta(2.0, 2.0, size=shape)
         if family == "bimodal":

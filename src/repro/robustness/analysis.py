@@ -19,7 +19,7 @@ from repro.robustness.metrics import (
     robustness_miss_rate,
     robustness_tardiness,
 )
-from repro.schedule.evaluation import batch_makespans
+from repro.robustness.montecarlo import _realized_makespans
 from repro.schedule.schedule import Schedule
 from repro.utils.rng import as_generator
 
@@ -133,8 +133,7 @@ def convergence_profile(
     from repro.schedule.evaluation import evaluate
 
     m0 = evaluate(schedule).makespan
-    durations = schedule.realize_durations(sizes[-1], gen)
-    makespans = batch_makespans(schedule, durations)
+    makespans = _realized_makespans(schedule, sizes[-1], gen)
 
     profile: dict[int, dict[str, float]] = {}
     for size in sizes:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core.problem import SchedulingProblem
+from repro.graph import _native
 from repro.graph.generator import DagParams
 from repro.graph.taskgraph import TaskGraph
 from repro.platform.platform import Platform
@@ -99,3 +102,14 @@ def make_random_problem(
         uncertainty_params=UncertaintyParams(mean_ul=mean_ul),
         rng=seed,
     )
+
+
+@contextlib.contextmanager
+def numpy_backend():
+    """Run the block as ``REPRO_NATIVE=0`` would."""
+    saved = _native._lib, _native._tried
+    _native._lib, _native._tried = None, True
+    try:
+        yield
+    finally:
+        _native._lib, _native._tried = saved

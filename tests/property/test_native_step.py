@@ -17,7 +17,6 @@ and held to numpy directly.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from repro import obs
 from repro.core.problem import SchedulingProblem
 from repro.energy import EnergyConstraintFitness, PowerModel
 from repro.ga import engine as engine_module
-from repro.ga.chromosome import Chromosome, random_chromosome
+from repro.ga.chromosome import random_chromosome
 from repro.ga.engine import GAParams, GeneticScheduler
 from repro.ga.fitness import (
     EpsilonConstraintFitness,
@@ -43,7 +42,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.moop.weighted_sum import WeightedSumFitness
 from repro.platform.platform import Platform
 from repro.platform.uncertainty import UncertaintyModel
-from tests.conftest import make_random_problem
+from tests.conftest import make_random_problem, numpy_backend
 from tests.property.strategies import problems
 
 pytestmark = pytest.mark.skipif(
@@ -52,17 +51,6 @@ pytestmark = pytest.mark.skipif(
 
 #: ε multipliers: every row feasible, a mixed population, none feasible.
 EPSILONS = {"eps-all": 50.0, "eps-mixed": 1.1, "eps-none": 0.3}
-
-
-@contextlib.contextmanager
-def numpy_backend():
-    """Run the block as ``REPRO_NATIVE=0`` would."""
-    saved = _native._lib, _native._tried
-    _native._lib, _native._tried = None, True
-    try:
-        yield
-    finally:
-        _native._lib, _native._tried = saved
 
 
 def _fitness(policy: str, problem: SchedulingProblem):
@@ -266,8 +254,9 @@ class _GivenPopulation(GeneticScheduler):
         super().__init__(*args, **kwargs)
         self._rows = rows
 
-    def _initial_population(self, problem):
-        return [Chromosome(order, proc) for order, proc in self._rows]
+    def _initial_population(self, problem, heft_schedule):
+        orders, procs = zip(*self._rows)
+        return np.array(orders), np.array(procs)
 
 
 @pytest.mark.parametrize(

@@ -42,9 +42,7 @@ _PARAMS = GAParams(population_size=10, max_iterations=15, stagnation_limit=8)
 
 def _initial_population(engine, problem):
     """The engine's initial population, evaluated as a run evaluates it."""
-    population = engine._initial_population(problem)
-    orders = np.stack([c.order for c in population])
-    procs = np.stack([c.proc_of for c in population])
+    orders, procs = engine._initial_population(problem, None)
     pe = PopulationEvaluator(problem).evaluate(orders, procs)
     return Population(problem, orders, procs, pe.makespans, pe.avg_slacks)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ga.chromosome import Chromosome
 from repro.ga.engine import GAParams, GeneticScheduler
 from repro.ga.fitness import (
     EpsilonConstraintFitness,
@@ -11,6 +12,7 @@ from repro.ga.fitness import (
 )
 from repro.heuristics.heft import HeftScheduler
 from repro.schedule.evaluation import evaluate, expected_makespan
+from tests.conftest import make_random_problem
 
 
 class TestGAParams:
@@ -38,43 +40,73 @@ class TestGAParams:
             GAParams(**kwargs)
 
 
+def _population(engine, problem, heft_schedule=None) -> list[Chromosome]:
+    """The engine's initial rows, one chromosome each."""
+    orders, procs = engine._initial_population(problem, heft_schedule)
+    assert orders.shape == procs.shape == (engine.params.population_size, problem.n)
+    return [Chromosome(o, p) for o, p in zip(orders, procs)]
+
+
 class TestInitialPopulation:
     def test_contains_heft_seed(self, small_random_problem):
         engine = GeneticScheduler(SlackFitness(), GAParams(max_iterations=1), rng=0)
-        pop = engine._initial_population(small_random_problem)
+        pop = _population(engine, small_random_problem)
         heft = HeftScheduler().schedule(small_random_problem)
-        decoded = [c.decode(small_random_problem) for c in pop]
-        assert any(s == heft for s in decoded)
+        assert pop[0].decode(small_random_problem) == heft
+        # The caller's HEFT schedule gives the same row 0.
+        given = _population(
+            GeneticScheduler(SlackFitness(), GAParams(max_iterations=1), rng=0),
+            small_random_problem,
+            heft,
+        )
+        assert [c.key() for c in given] == [c.key() for c in pop]
 
     def test_no_heft_when_disabled(self, small_random_problem):
         engine = GeneticScheduler(
             SlackFitness(), GAParams(max_iterations=1, seed_heft=False), rng=0
         )
-        pop = engine._initial_population(small_random_problem)
+        pop = _population(engine, small_random_problem)
         assert len(pop) == 20
 
     def test_unique_chromosomes(self, small_random_problem):
         engine = GeneticScheduler(SlackFitness(), GAParams(max_iterations=1), rng=1)
-        pop = engine._initial_population(small_random_problem)
+        pop = _population(engine, small_random_problem)
         keys = {c.key() for c in pop}
         assert len(keys) == len(pop) == 20
+        for c in pop:
+            c.validate(small_random_problem)
 
     def test_population_size_respected(self, small_random_problem):
         engine = GeneticScheduler(
             SlackFitness(), GAParams(population_size=7, max_iterations=1), rng=2
         )
-        assert len(engine._initial_population(small_random_problem)) == 7
+        assert len(_population(engine, small_random_problem)) == 7
 
     def test_tiny_search_space_fills_with_duplicates(self, single_task_problem):
         # Single task on 2 procs: only 2 distinct chromosomes exist.
         engine = GeneticScheduler(
             SlackFitness(), GAParams(population_size=5, max_iterations=1), rng=3
         )
-        pop = engine._initial_population(single_task_problem)
+        pop = _population(engine, single_task_problem)
         assert len(pop) == 5
+        assert len({c.key() for c in pop}) == 2
 
 
 class TestRun:
+    @pytest.mark.parametrize("n_other", [20, 25])
+    def test_heft_schedule_of_another_problem_is_rejected(self, n_other):
+        """Another problem's HEFT schedule raises before anything is drawn,
+        whether its task count matches the run's (it would seed a foreign
+        row) or not (it would break the population's shape)."""
+        problem = make_random_problem(30, n=20, m=3)
+        other = HeftScheduler().schedule(make_random_problem(31, n=n_other, m=3))
+        gen = np.random.default_rng(6)
+        before = gen.bit_generator.state
+        engine = GeneticScheduler(SlackFitness(), GAParams(max_iterations=3), gen)
+        with pytest.raises(ValueError, match="problem being solved"):
+            engine.run(problem, heft_schedule=other)
+        assert gen.bit_generator.state == before
+
     def test_monotone_best_fitness(self, small_random_problem):
         engine = GeneticScheduler(
             SlackFitness(), GAParams(max_iterations=60, stagnation_limit=30), rng=4

@@ -93,6 +93,44 @@ class TestUncertaintyModel:
         expected = model.expected_durations(proc)
         assert np.allclose(durs.mean(axis=0), expected, rtol=0.05)
 
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [
+            np.random.PCG64,
+            np.random.PCG64DXSM,
+            np.random.MT19937,
+            np.random.Philox,
+            np.random.SFC64,
+        ],
+        ids=lambda b: b.__name__,
+    )
+    def test_uniform_is_generator_uniform(self, model, bit_generator):
+        """``low + (high - low) * random`` is ``Generator.uniform`` bit for
+        bit, and leaves the stream where ``uniform`` leaves it."""
+        proc = np.array([0, 1, 1])
+        low, high = model.duration_bounds(proc)
+        for seed in range(20):
+            ours = np.random.Generator(bit_generator(seed))
+            numpys = np.random.Generator(bit_generator(seed))
+            durs = model.realize_durations(proc, 37 + seed, ours)
+            want = numpys.uniform(low, high, size=(37 + seed, 3))
+            assert np.array_equal(durs.view(np.int64), want.view(np.int64))
+            assert ours.random() == numpys.random()
+
+    def test_non_finite_range_raises_before_drawing(self):
+        """numpy's ``uniform`` error, with nothing drawn."""
+        with np.errstate(over="ignore"):
+            model = UncertaintyModel(
+                np.array([[1e308, 1.0]]), np.array([[2.0, 2.0]])
+            )
+            gen = np.random.default_rng(0)
+            before = gen.bit_generator.state
+            with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+                model.realize_durations(np.array([0]), 10, gen)
+        assert gen.bit_generator.state == before
+        low, span = model.uniform_support(np.array([1]))
+        assert low.tolist() == [1.0] and span.tolist() == [2.0]
+
     def test_realize_rejects_bad_count(self, model):
         with pytest.raises(ValueError):
             model.realize_durations(np.array([0, 0, 0]), 0)

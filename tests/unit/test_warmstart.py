@@ -216,9 +216,10 @@ class TestEngineWarmStart:
         engine = GeneticScheduler(
             SlackFitness(), self._params(), rng=7, warm_start=[seed]
         )
-        population = engine._initial_population(problem)
-        assert seed.key() in {c.key() for c in population}
-        assert len(population) == engine.params.population_size
+        orders, procs = engine._initial_population(problem, None)
+        keys = {o.tobytes() + p.tobytes() for o, p in zip(orders, procs)}
+        assert seed.key() in keys
+        assert len(orders) == engine.params.population_size
 
     def test_seed_count_capped_at_population_size(self):
         problem = _problem(11)
@@ -227,8 +228,8 @@ class TestEngineWarmStart:
         engine = GeneticScheduler(
             SlackFitness(), self._params(), rng=9, warm_start=seeds
         )
-        population = engine._initial_population(problem)
-        assert len(population) == engine.params.population_size
+        orders, _ = engine._initial_population(problem, None)
+        assert len(orders) == engine.params.population_size
 
     def test_duplicate_seeds_deduplicated(self):
         problem = _problem(12)
@@ -236,8 +237,9 @@ class TestEngineWarmStart:
         engine = GeneticScheduler(
             SlackFitness(), self._params(), rng=11, warm_start=[seed, seed]
         )
-        population = engine._initial_population(problem)
-        assert sum(c.key() == seed.key() for c in population) == 1
+        orders, procs = engine._initial_population(problem, None)
+        keys = [o.tobytes() + p.tobytes() for o, p in zip(orders, procs)]
+        assert keys.count(seed.key()) == 1
 
     def test_cross_problem_seed_cannot_corrupt_run(self):
         donor = _problem(13)
