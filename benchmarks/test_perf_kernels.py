@@ -2,7 +2,8 @@
 
 These are real timing benchmarks (multiple rounds), covering the paths
 the GA and Monte-Carlo evaluation hammer: schedule construction, static
-evaluation, vectorized batch makespans, a whole Monte-Carlo report (one
+evaluation, batch makespans (on a warm and on a freshly decoded
+schedule), a whole Monte-Carlo report (one
 ``mc_makespans`` call with the native library), one GA generation, the
 GA's initial population (one ``ga_random_rows`` call), and HEFT.
 """
@@ -54,6 +55,22 @@ def test_perf_batch_makespans_1000(benchmark, paper_schedule):
     """The paper's Monte-Carlo unit: 1000 realizations of one schedule."""
     durations = paper_schedule.realize_durations(1000, rng=1)
     out = benchmark(lambda: batch_makespans(paper_schedule, durations))
+    assert out.shape == (1000,)
+
+
+def test_perf_batch_makespans_1000_fresh(benchmark, paper_problem, paper_schedule):
+    """The same call on a freshly decoded schedule, as every Monte-Carlo
+    report makes it: the graph's lazy indexes and buffers start empty."""
+    order = paper_schedule.linear_order()
+    durations = paper_schedule.realize_durations(1000, rng=1)
+
+    def decode():
+        schedule = Schedule.from_assignment(
+            paper_problem, order, paper_schedule.proc_of
+        )
+        return (schedule, durations), {}
+
+    out = benchmark.pedantic(batch_makespans, setup=decode, rounds=200)
     assert out.shape == (1000,)
 
 

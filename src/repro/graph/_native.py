@@ -2,15 +2,14 @@
 
 Eight kernels live here:
 
-* **Batched makespans** (``ft_forward``): the Monte-Carlo hot loop reduces
-  to one forward pass over the disjunctive graph with a wide realization
-  axis.  The numpy level-synchronous kernel is memory-bandwidth bound:
-  every level pays a full-width gather, an edge-weight add and a segment
-  reduction over padded candidate rows — roughly three streamed passes
-  over the edge rectangle per level.  The C kernel walks the nodes once in
-  topological order and keeps each node's realization row in L1 while
-  folding gather, add, max and the node-weight add into a single
-  edge-driven loop, cutting memory traffic several-fold.
+* **Batched makespans** (``ft_forward``): the forward pass of
+  ``ArrayDag.finish_times`` and ``makespan`` on ``(R, n)`` weights, for
+  every batch width: ``ft[v] = w[v] + max over in-edges (ft[u] + c)``,
+  node by node in topological order, on node-major realization rows.  The
+  numpy pass runs the same recurrence one ``(R,)`` row per node, a few
+  numpy dispatches per in-edge; the C kernel walks each node's in-edges
+  in one loop and keeps the node's realization row in L1 while it folds
+  gather, add, max and the node-weight add.
 
 * **Population GA evaluation** (``ga_population_eval``): the GA hot loop
   is the opposite shape — many *small* problems (one per chromosome)
@@ -53,10 +52,8 @@ Eight kernels live here:
   realization), then ``ft_forward`` runs the block over the schedule's
   disjunctive graph and each realization's makespan is the largest
   finish time over the sinks, so the ``(R, n)`` durations never exist.
-  ``realize_durations`` then ``batch_makespans`` stays the reference; it
-  walks a pruned graph, without the same-processor edges the processor
-  chain dominates, which cannot change a makespan of non-negative
-  durations.
+  ``realize_durations`` then ``batch_makespans``, which walks the same
+  graph, stays the reference.
 
 * **The GA's initial population** (``ga_random_rows``): rows ``k..``
   of a run's ``(Np, n)`` arrays, each candidate a ``random_topo_order``
@@ -608,10 +605,7 @@ int64_t random_topo_order(
  * forward pass over the schedule's disjunctive graph (topo, the
  * by-destination CSR indptr/eidx, esrc, edge weights ew) into the second
  * half, and a realization's makespan is its largest finish time over the
- * n_sinks >= 1 sinks.  The reference first drops the same-processor
- * edges the processor chain dominates; with non-negative durations
- * their candidates never exceed the chain's, so the makespans agree bit
- * for bit.  ws holds 2 * MC_BLOCK * n doubles. */
+ * n_sinks >= 1 sinks.  ws holds 2 * MC_BLOCK * n doubles. */
 void mc_makespans(int64_t n, int64_t r,
                   const int64_t *topo, const int64_t *indptr,
                   const int64_t *eidx, const int64_t *esrc, const double *ew,

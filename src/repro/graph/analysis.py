@@ -8,25 +8,23 @@ compact array representation (:class:`ArrayDag`), so that
 * plain task-graph analysis (priorities for HEFT/CPOP, generator stats) and
 * disjunctive-graph schedule evaluation (:mod:`repro.schedule.evaluation`)
 
-share a single, well-tested kernel.  All passes accept *batched* node
-weights of shape ``(..., n)``.
+share a single, well-tested kernel.
 
-The passes are **level-synchronous**: :meth:`ArrayDag.build` peels the DAG
-into topological levels (``level[v]`` = longest edge-count path from an
-entry) and the kernels relax edges in level order.  For batched weights all
-edges of a level are relaxed *at once*: the level's predecessor rows are
-gathered from a node-major ``(n, R)`` layout (contiguous realization rows)
-into a rectangular in-degree-padded block and reduced with one
-``max(axis=1)``, so the Python-level loop runs ``O(depth(G))`` iterations —
-typically 10–30 for paper-sized 100-task DAGs — instead of ``O(n)``, with
-the ``(R, n)`` Monte-Carlo batch axis fully inside numpy.  This is what
-makes 1000-realization Monte-Carlo evaluation (Sec. 5) cheap.  Unbatched
-``(n,)`` weights take a scalar fast path over the same level-ordered edge
-list (numpy per-element overhead would dominate at that size).
+The level passes (``top_levels``, ``bottom_levels``, ``critical_path``)
+take one ``(n,)`` weight vector and relax a cached edge list in
+topological order with Python floats (numpy per-element overhead would
+dominate at that size).  ``finish_times`` and ``makespan`` also take
+batched ``(..., n)`` weights — the Monte-Carlo realizations of Sec. 5 —
+and run one forward pass over a node-major ``(n, R)`` layout,
+``ft[v] = w[v] + max over in-edges (ft[u] + c)``, node by node in
+topological order.  With the optional C library
+(:mod:`repro.graph._native`) that pass is ``ft_forward``; without it, a
+numpy pass runs the same recurrence one ``(R,)`` row per node, bit for
+bit.
 
 Everything not needed by the GA decode→evaluate hot loop — CSR indexes,
-the canonical topological order, the batched relaxation plans — is built
-lazily on first use and cached (the structure is immutable).
+the canonical topological order, the relaxation-ordered edge lists — is
+built lazily on first use and cached (the structure is immutable).
 
 The original per-node passes live on in
 ``tests/unit/test_kernel_equivalence.py`` as the reference that every
@@ -52,7 +50,7 @@ __all__ = [
 
 
 class ArrayDag:
-    """Edge-array DAG with topological levels and level-synchronous kernels.
+    """Edge-array DAG with topological levels and longest-path passes.
 
     Attributes
     ----------
@@ -73,8 +71,8 @@ class ArrayDag:
         (built lazily).
     topo:
         A valid deterministic topological order (``(n,)`` permutation),
-        computed lazily on first access (the level-synchronous kernels do
-        not need it; ``Schedule.linear_order`` does).
+        computed lazily on first access (the numpy passes do not need it;
+        the C forward pass and ``Schedule.linear_order`` do).
     """
 
     __slots__ = (
@@ -91,8 +89,6 @@ class ArrayDag:
         "_topo",
         "_fwd_edges",
         "_bwd_edges",
-        "_fwd_pad",
-        "_bwd_pad",
         "_sinks",
         "_entries",
         "_scratch",
@@ -133,8 +129,6 @@ class ArrayDag:
         self._topo = None
         self._fwd_edges = None
         self._bwd_edges = None
-        self._fwd_pad = None
-        self._bwd_pad = None
         self._sinks = None
         self._entries = None
         self._scratch = {}
@@ -273,9 +267,9 @@ class ArrayDag:
     def topo(self) -> np.ndarray:
         """Deterministic topological order (lexicographically smallest).
 
-        Computed lazily with heap-based Kahn on first access; the
-        level-synchronous kernels never need it, so the evaluation hot
-        path skips this cost entirely.
+        Computed lazily with heap-based Kahn on first access; the numpy
+        passes order their edges by :meth:`_relax_key` instead, so only
+        the C forward pass and ``Schedule.linear_order`` pay this cost.
         """
         if self._topo is None:
             indeg = [0] * self.n
@@ -307,7 +301,7 @@ class ArrayDag:
     def _relax_key(self) -> np.ndarray:
         """Per-node key that strictly increases along every edge.
 
-        The scalar 1-D passes only need *some* relaxation-compatible edge
+        The numpy passes only need *some* relaxation-compatible edge
         order, so a trusted topological order (whose inverse permutation
         costs two vector ops) serves as well as the peeled levels without
         forcing the peel; results are bit-identical either way because
@@ -325,7 +319,8 @@ class ArrayDag:
         Forward: ascending key of ``dst`` (ties by ``dst``); backward:
         descending key of ``src`` (ties by ``src``), where the key is the
         topological depth or a trusted topological position
-        (:meth:`_relax_key`).  Cached; feeds the scalar 1-D passes.
+        (:meth:`_relax_key`).  Cached; feeds the scalar 1-D passes and the
+        numpy forward pass.
         """
         if forward:
             if self._fwd_edges is None:
@@ -347,102 +342,6 @@ class ArrayDag:
             )
         return self._bwd_edges
 
-    def _pad_plan(
-        self, *, forward: bool
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray, int, int, int, int]], np.ndarray, int]:
-        """Padded per-level relaxation plan for the batched passes (cached).
-
-        Returns ``(levels, eidx_pad, nodes_cat, max_rows)``.  Each level
-        entry is ``(nodes, otherp, nl, k, o0, o1, n0, n1)``: the ``nl``
-        grouped endpoints (destinations forward, sources backward), the
-        flattened ``(nl * k,)`` padded opposite-endpoint rows (each node's
-        edge list right-padded with its own first edge — duplicates are
-        harmless under ``max``), the rectangle shape, the level's slice
-        ``[o0:o1)`` into the concatenated padded edge-id array
-        ``eidx_pad``, and its slice ``[n0:n1)`` into the concatenated
-        relaxed-node array ``nodes_cat`` (lets kernels pre-gather all
-        per-node weight rows in one shot).  Padding turns the per-level
-        segment reduction into one contiguous ``max(axis=1)`` over a
-        ``(nl, k, R)`` view — ``np.maximum.reduceat`` scalar-loops over
-        the batch axis and is an order of magnitude slower here.
-        """
-        cached = self._fwd_pad if forward else self._bwd_pad
-        if cached is not None:
-            return cached
-
-        m = self.edge_src.shape[0]
-        levels: list[tuple[np.ndarray, np.ndarray, int, int, int, int, int, int]] = []
-        eidx_parts: list[np.ndarray] = []
-        node_parts: list[np.ndarray] = []
-        max_rows = 0
-        offset = 0
-        node_offset = 0
-        if m:
-            grp = self.edge_dst if forward else self.edge_src
-            key = self.level[grp] if forward else -self.level[grp]
-            order = np.lexsort((grp, key))
-            g = grp[order]  # grouped endpoints (dst forward, src backward)
-            other = (self.edge_src if forward else self.edge_dst)[order]
-            glevel = key[order]  # non-decreasing
-
-            # One segment per distinct grouped node: a node has a single
-            # level, so all of its edges are contiguous after the lexsort.
-            new_seg = np.empty(m, dtype=bool)
-            new_seg[0] = True
-            np.not_equal(g[1:], g[:-1], out=new_seg[1:])
-            seg_starts = np.flatnonzero(new_seg)
-            seg_level = glevel[seg_starts]
-
-            new_blk = np.empty(seg_starts.size, dtype=bool)
-            new_blk[0] = True
-            np.not_equal(seg_level[1:], seg_level[:-1], out=new_blk[1:])
-            blk_bounds = np.append(np.flatnonzero(new_blk), seg_starts.size)
-            edge_bounds = np.append(seg_starts, m)
-            seg_nodes = g[seg_starts]
-
-            for a, b in zip(blk_bounds[:-1], blk_bounds[1:]):
-                e0, e1 = int(edge_bounds[a]), int(edge_bounds[b])
-                bounds = edge_bounds[a : b + 1] - e0
-                counts = bounds[1:] - bounds[:-1]
-                k = int(counts.max())
-                # (nl, k) indices into the level's edge block; short
-                # segments repeat their first edge.
-                rows = bounds[:-1, None] + np.minimum(
-                    np.arange(k), (counts - 1)[:, None]
-                )
-                otherp = other[e0:e1][rows].ravel()
-                eidx_parts.append(order[e0:e1][rows].ravel())
-                node_parts.append(seg_nodes[a:b])
-                nl = b - a
-                levels.append(
-                    (
-                        seg_nodes[a:b],
-                        otherp,
-                        nl,
-                        k,
-                        offset,
-                        offset + otherp.size,
-                        node_offset,
-                        node_offset + nl,
-                    )
-                )
-                offset += otherp.size
-                node_offset += nl
-                max_rows = max(max_rows, otherp.size)
-
-        eidx_pad = (
-            np.concatenate(eidx_parts) if eidx_parts else np.empty(0, dtype=np.int64)
-        )
-        nodes_cat = (
-            np.concatenate(node_parts) if node_parts else np.empty(0, dtype=np.int64)
-        )
-        result = (levels, eidx_pad, nodes_cat, max_rows)
-        if forward:
-            self._fwd_pad = result
-        else:
-            self._bwd_pad = result
-        return result
-
     @property
     def entries(self) -> np.ndarray:
         """Nodes with no predecessors (cached)."""
@@ -459,34 +358,22 @@ class ArrayDag:
             self._sinks = np.flatnonzero(outdeg == 0)
         return self._sinks
 
-    def _get_scratch(
-        self, batch: int, rows: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Reusable ``(buf, red, work, nwbuf, nwp)`` buffers for one batch width.
+    def _get_scratch(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """Reusable node-major ``(ft, nw)`` buffers for one batch width.
 
-        ``buf`` holds a level's gathered candidate rows, ``red`` its
-        reduced maxima, ``work`` the node-major state array, ``nwbuf`` the
-        node-major weight transpose and ``nwp`` the weight rows
-        pre-gathered in relaxation order.  Cached per batch width so
-        repeated Monte-Carlo passes of the same shape pay no allocation or
-        page-fault cost.  Kernels must copy anything they return (the
-        buffers are invalidated by the next call).
+        ``ft`` receives the finish times and ``nw`` the transposed node
+        weights.  Cached per batch width so repeated Monte-Carlo passes of
+        the same shape pay no allocation or page-fault cost.  Kernels must
+        copy anything they return (the next call overwrites the buffers).
         """
         sc = self._scratch.get(batch)
-        if sc is None or sc[0].shape[0] < rows:
-            n1 = max(self.n, 1)
-            sc = (
-                np.empty((max(rows, 1), batch), dtype=np.float64),
-                np.empty((n1, batch), dtype=np.float64),
-                np.empty((n1, batch), dtype=np.float64),
-                np.empty((n1, batch), dtype=np.float64),
-                np.empty((n1, batch), dtype=np.float64),
-            )
+        if sc is None:
+            sc = (np.empty((self.n, batch)), np.empty((self.n, batch)))
             self._scratch[batch] = sc
         return sc
 
     # ------------------------------------------------------------------ #
-    # Level passes (level-synchronous)
+    # Level passes (one weight vector)
     # ------------------------------------------------------------------ #
 
     def _check_weights(
@@ -506,102 +393,65 @@ class ArrayDag:
                 raise ValueError(f"edge weights must have shape ({m},), got {edge_w.shape}")
         return node_w, edge_w
 
+    def _check_vector(
+        self, name: str, node_w: np.ndarray, edge_w: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_check_weights` for the passes that take one ``(n,)`` vector."""
+        node_w = np.asarray(node_w, dtype=np.float64)
+        if node_w.ndim != 1:
+            raise ValueError(f"{name} requires 1-D node weights")
+        return self._check_weights(node_w, edge_w)
+
     def top_levels(
         self, node_w: np.ndarray, edge_w: np.ndarray | None = None
     ) -> np.ndarray:
         """Top level ``Tl(v)``: longest entry→v path length, *excluding* v.
 
         Path length sums node and edge weights along the path (Def. 3.3).
-        ``node_w`` may be ``(n,)`` or batched ``(..., n)``; the result has
-        the same shape.  Batched weights are relaxed one topological level
-        per step — all edges into level-``d`` nodes reduced at once with
-        ``np.maximum.reduceat`` — so the Python loop is ``O(depth)``, not
-        ``O(n)``.
+        ``node_w`` is one ``(n,)`` vector; batches of weights go through
+        :meth:`finish_times` or :meth:`makespan`.
         """
-        node_w, edge_w = self._check_weights(node_w, edge_w)
-        if node_w.ndim == 1:
-            src, dst, eidx = self._edges_levelwise(forward=True)
-            tl = [0.0] * self.n
-            w = node_w.tolist()
-            ew = edge_w.tolist()
-            prev = -1
-            # First candidate overwrites (the reference scatters the plain
-            # candidate max, with no zero floor for non-entry nodes); edges
-            # of one destination are contiguous after the lexsort.
-            for s, t, e in zip(src, dst, eidx):
-                cand = tl[s] + w[s] + ew[e]
-                if t != prev:
-                    tl[t] = cand
-                    prev = t
-                elif cand > tl[t]:
-                    tl[t] = cand
-            return np.asarray(tl, dtype=np.float64)
-
-        # Node-major layout: gathering a level's edges then touches
-        # contiguous realization rows instead of strided columns.
-        batch_shape = node_w.shape[:-1]
-        levels, eidx_pad, nodes_cat, max_rows = self._pad_plan(forward=True)
-        buf, red, tl, nw, _ = self._get_scratch(
-            int(np.prod(batch_shape)), max_rows
-        )
-        np.copyto(nw, node_w.reshape(-1, self.n).T)
-        tl[:] = 0.0
-        ewp = edge_w[eidx_pad][:, None]
-        batch = nw.shape[1]
-        for nodes, srcp, nl, k, o0, o1, n0, n1 in levels:
-            b = buf[: srcp.size]
-            np.take(tl, srcp, axis=0, out=b)
-            b += nw[srcp]
-            b += ewp[o0:o1]
-            np.max(b.reshape(nl, k, batch), axis=1, out=red[:nl])
-            tl[nodes] = red[:nl]
-        return np.ascontiguousarray(tl.T).reshape(*batch_shape, self.n)
+        node_w, edge_w = self._check_vector("top_levels", node_w, edge_w)
+        src, dst, eidx = self._edges_levelwise(forward=True)
+        tl = [0.0] * self.n
+        w = node_w.tolist()
+        ew = edge_w.tolist()
+        prev = -1
+        # First candidate overwrites (the reference scatters the plain
+        # candidate max, with no zero floor for non-entry nodes); edges
+        # of one destination are contiguous after the lexsort.
+        for s, t, e in zip(src, dst, eidx):
+            cand = tl[s] + w[s] + ew[e]
+            if t != prev:
+                tl[t] = cand
+                prev = t
+            elif cand > tl[t]:
+                tl[t] = cand
+        return np.asarray(tl, dtype=np.float64)
 
     def bottom_levels(
         self, node_w: np.ndarray, edge_w: np.ndarray | None = None
     ) -> np.ndarray:
-        """Bottom level ``Bl(v)``: longest v→exit path length, *including* v."""
-        node_w, edge_w = self._check_weights(node_w, edge_w)
-        if node_w.ndim == 1:
-            src, dst, eidx = self._edges_levelwise(forward=False)
-            w = node_w.tolist()
-            bl = list(w)
-            ew = edge_w.tolist()
-            prev = -1
-            for s, t, e in zip(src, dst, eidx):
-                # fp-safe: max commutes with the (monotone) addition of w[s],
-                # so this matches the reference's "max, then add" exactly.
-                val = w[s] + (bl[t] + ew[e])
-                if s != prev:
-                    bl[s] = val
-                    prev = s
-                elif val > bl[s]:
-                    bl[s] = val
-            return np.asarray(bl, dtype=np.float64)
+        """Bottom level ``Bl(v)``: longest v→exit path length, *including* v.
 
-        batch_shape = node_w.shape[:-1]
-        levels, eidx_pad, nodes_cat, max_rows = self._pad_plan(forward=False)
-        buf, red, bl, nw, nwp_buf = self._get_scratch(
-            int(np.prod(batch_shape)), max_rows
-        )
-        np.copyto(nw, node_w.reshape(-1, self.n).T)
-        # Only sink rows read their initial value; interior rows are
-        # overwritten exactly once by their level's scatter.
-        sinks = self.sinks
-        bl[sinks] = nw[sinks]
-        ewp = edge_w[eidx_pad][:, None]
-        nwp = nwp_buf[: nodes_cat.size]
-        np.take(nw, nodes_cat, axis=0, out=nwp)
-        batch = nw.shape[1]
-        for nodes, dstp, nl, k, o0, o1, n0, n1 in levels:
-            b = buf[: dstp.size]
-            np.take(bl, dstp, axis=0, out=b)
-            b += ewp[o0:o1]
-            r = red[:nl]
-            np.max(b.reshape(nl, k, batch), axis=1, out=r)
-            r += nwp[n0:n1]
-            bl[nodes] = r
-        return np.ascontiguousarray(bl.T).reshape(*batch_shape, self.n)
+        ``node_w`` is one ``(n,)`` vector, as for :meth:`top_levels`.
+        """
+        node_w, edge_w = self._check_vector("bottom_levels", node_w, edge_w)
+        src, dst, eidx = self._edges_levelwise(forward=False)
+        w = node_w.tolist()
+        bl = list(w)
+        ew = edge_w.tolist()
+        prev = -1
+        for s, t, e in zip(src, dst, eidx):
+            # fp-safe: max commutes with the (monotone) addition of w[s],
+            # so this matches the reference's "max, then add" exactly.
+            val = w[s] + (bl[t] + ew[e])
+            if s != prev:
+                bl[s] = val
+                prev = s
+            elif val > bl[s]:
+                bl[s] = val
+        return np.asarray(bl, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -613,44 +463,40 @@ class ArrayDag:
         ``node_w`` is ``(B, n)``; the returned ``(n, B)`` array is a view
         into scratch (callers must copy what they keep).  Folding the node
         weight into the recurrence (``ft[v] = w[v] + max(ft[u] + c(u,v))``)
-        saves one full-width gather+add per level versus computing ``Tl``
-        and adding ``w`` afterwards, and is float-exact: adding ``w`` is
-        monotone, so it commutes with ``max`` bit-for-bit.
+        adds ``w`` once per node, where ``Tl``'s candidates
+        ``tl[u] + w[u] + c`` add it once per in-edge, and is float-exact:
+        adding ``w`` is monotone, so it commutes with ``max`` bit-for-bit.
 
-        Dispatches to the optional C kernel (:mod:`repro.graph._native`)
-        for wide batches; the numpy level-synchronous pass is the always-
-        available fallback and produces bit-identical results.
+        The C kernel runs every batch when the library is loaded; the numpy
+        pass is the always-available fallback and produces bit-identical
+        results.
         """
         lib = _native.get_lib()
-        use_native = lib is not None and self.n and node_w.shape[0] >= 8
         if _obs.enabled():
-            # Which implementation the wide-batch hot path actually ran —
-            # surfaces silent numpy fallbacks (no compiler, REPRO_NATIVE=0).
+            # Which implementation ran — surfaces silent numpy fallbacks
+            # (no compiler, REPRO_NATIVE=0).
             _obs.add(
-                "kernel.batch_forward.native"
-                if use_native
-                else "kernel.batch_forward.numpy"
+                "kernel.batch_forward.numpy"
+                if lib is None
+                else "kernel.batch_forward.native"
             )
-        if use_native:
-            return self._finish_node_major_native(lib, node_w, edge_w)
-        return self._finish_node_major_numpy(node_w, edge_w)
+        if lib is None:
+            return self._finish_node_major_numpy(node_w, edge_w)
+        return self._finish_node_major_native(lib, node_w, edge_w)
 
     def _finish_node_major_native(
         self, lib, node_w: np.ndarray, edge_w: np.ndarray
     ) -> np.ndarray:
-        """C edge-driven forward pass (see :mod:`repro.graph._native`)."""
-        _, _, ft, nw, _ = self._get_scratch(node_w.shape[0], 1)
+        """C forward pass ``ft_forward`` (see :mod:`repro.graph._native`)."""
+        ft, nw = self._get_scratch(node_w.shape[0])
         np.copyto(nw, node_w.T)
-        topo = self.topo
-        indptr = self.pred_indptr
-        eidx = self.pred_eidx
         edge_w = np.ascontiguousarray(edge_w)
         lib.ft_forward(
             self.n,
             nw.shape[1],
-            topo.ctypes.data,
-            indptr.ctypes.data,
-            eidx.ctypes.data,
+            self.topo.ctypes.data,
+            self.pred_indptr.ctypes.data,
+            self.pred_eidx.ctypes.data,
             self.edge_src.ctypes.data,
             edge_w.ctypes.data,
             nw.ctypes.data,
@@ -661,28 +507,37 @@ class ArrayDag:
     def _finish_node_major_numpy(
         self, node_w: np.ndarray, edge_w: np.ndarray
     ) -> np.ndarray:
-        """Numpy level-synchronous forward pass (always available)."""
-        levels, eidx_pad, nodes_cat, max_rows = self._pad_plan(forward=True)
-        buf, red, ft, nw, nwp_buf = self._get_scratch(node_w.shape[0], max_rows)
+        """Numpy forward pass: ``ft_forward``'s recurrence, one row per node.
+
+        An entry's row is ``0.0 + w``, as in the C kernel and the
+        reference (a ``-0.0`` weight finishes at ``+0.0``).  Every other
+        node's in-edges come grouped in relaxation order (the scalar
+        passes' edge list): the first writes ``ft[u] + c`` into the node's
+        row, each later one takes the elementwise max with its own
+        candidate, and the node's weights are added once its group ends,
+        before any out-edge of the node is read.
+        """
+        ft, nw = self._get_scratch(node_w.shape[0])
         np.copyto(nw, node_w.T)
-        # Only entry rows read their initial value (ft = w); interior rows
-        # are overwritten exactly once by their level's scatter.
         entries = self.entries
-        ft[entries] = nw[entries]
-        ewp = edge_w[eidx_pad][:, None]
-        # One bulk gather of the relaxed nodes' weight rows; per-level
-        # consumption is then a contiguous slice.
-        nwp = nwp_buf[: nodes_cat.size]
-        np.take(nw, nodes_cat, axis=0, out=nwp)
-        batch = nw.shape[1]
-        for nodes, srcp, nl, k, o0, o1, n0, n1 in levels:
-            b = buf[: srcp.size]
-            np.take(ft, srcp, axis=0, out=b)
-            b += ewp[o0:o1]
-            r = red[:nl]
-            np.max(b.reshape(nl, k, batch), axis=1, out=r)
-            r += nwp[n0:n1]
-            ft[nodes] = r
+        ft[entries] = nw[entries] + 0.0
+        src, dst, eidx = self._edges_levelwise(forward=True)
+        rows, w_rows = list(ft), list(nw)
+        ew = edge_w.tolist()
+        cand = np.empty(nw.shape[1])
+        prev = -1
+        for s, t, e in zip(src, dst, eidx):
+            row = rows[t]
+            if t != prev:
+                if prev >= 0:
+                    rows[prev] += w_rows[prev]
+                np.add(rows[s], ew[e], out=row)
+                prev = t
+            else:
+                np.add(rows[s], ew[e], out=cand)
+                np.maximum(row, cand, out=row)
+        if prev >= 0:
+            rows[prev] += w_rows[prev]
         return ft
 
     def finish_times(
@@ -737,10 +592,7 @@ class ArrayDag:
 
         Only defined for unbatched ``(n,)`` weights.
         """
-        node_w = np.asarray(node_w, dtype=np.float64)
-        if node_w.ndim != 1:
-            raise ValueError("critical_path requires 1-D node weights")
-        node_w, edge_w = self._check_weights(node_w, edge_w)
+        node_w, edge_w = self._check_vector("critical_path", node_w, edge_w)
         tl = self.top_levels(node_w, edge_w)
         fin = tl + node_w
         makespan = fin.max() if self.n else 0.0
@@ -802,7 +654,6 @@ def dag_levels(graph: TaskGraph) -> np.ndarray:
 
     Entries have level 0.  Used by the random-DAG generator's shape
     statistics and by tests.  This is exactly :attr:`ArrayDag.level`,
-    which :meth:`ArrayDag.build` precomputes for its level-synchronous
-    kernels.
+    which :meth:`ArrayDag.build` computes as its acyclicity check.
     """
     return ArrayDag.from_taskgraph(graph).level.copy()

@@ -144,9 +144,8 @@ def _realized_makespans(
 
     One ``mc_makespans`` call for the uniform family with the native
     library loaded, else ``realize_durations`` then ``batch_makespans``
-    (see the module docstring).  The kernel's forward pass runs over the
-    full disjunctive graph: the edges the reference's pruned view drops
-    never decide a finish time.  Traced, the draws run inside an
+    (see the module docstring); both run the forward pass over the
+    schedule's disjunctive graph.  Traced, the draws run inside an
     ``mc.realize_durations`` span and the pass counts one
     ``kernel.batch_forward.*`` call either way.
     """

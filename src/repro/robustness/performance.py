@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import math
 
-from repro.robustness.montecarlo import RobustnessReport
-
 __all__ = [
     "overall_performance",
-    "performance_from_reports",
     "robustness_improvement",
 ]
 
@@ -101,28 +98,3 @@ def overall_performance(
         return robustness_term
     return r_weight * makespan_term + (1.0 - r_weight) * robustness_term
 
-
-def performance_from_reports(
-    report: RobustnessReport,
-    reference: RobustnessReport,
-    r_weight: float,
-    *,
-    which: str = "r1",
-) -> float:
-    """Eqn. 9 straight from two :class:`RobustnessReport` objects.
-
-    Parameters
-    ----------
-    which:
-        ``"r1"`` (tardiness-based, Fig. 7) or ``"r2"`` (miss-rate-based,
-        Fig. 8).
-    """
-    if which not in ("r1", "r2"):
-        raise ValueError(f"which must be 'r1' or 'r2', got {which!r}")
-    return overall_performance(
-        makespan=report.mean_makespan,
-        robustness=getattr(report, which),
-        ref_makespan=reference.mean_makespan,
-        ref_robustness=getattr(reference, which),
-        r_weight=r_weight,
-    )

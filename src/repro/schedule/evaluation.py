@@ -11,10 +11,13 @@ Implements the paper's evaluation semantics:
   schedule's slack is the task average (Eqn. 3).
 
 :func:`batch_makespans` evaluates many realizations at once: durations of
-shape ``(R, n)`` flow through one level-synchronous forward pass with numpy
-doing the work across the ``R`` axis — the hot path of the Monte-Carlo
-robustness evaluator (Sec. 5 runs 1000 realizations per schedule).
-``validate=False`` serves that hot path: it skips the finiteness scan for
+shape ``(R, n)`` flow through one forward pass over ``G_s``
+(:meth:`~repro.graph.analysis.ArrayDag.makespan`: the C kernel when the
+library is loaded, else its numpy mirror, one ``(R,)`` row per task).  It
+prices the Monte-Carlo realizations of Sec. 5 for the beta and bimodal
+families, fault replays and energy reports, and it is the reference of the
+native uniform-model report, which walks the same graph in C.
+``validate=False`` serves those callers: it skips the finiteness scan for
 internally generated duration arrays.
 
 :class:`ScheduleEvaluation` computes its backward-pass quantities
@@ -213,11 +216,9 @@ def batch_makespans(
         if not (durations.min() >= 0.0 and durations.max() < np.inf):
             raise ValueError("durations must be finite and non-negative")
 
-    # The pruned Monte-Carlo view drops chain-dominated same-processor
-    # edges; makespans are bit-identical because durations are known
-    # non-negative here (validated above, or vouched for by the caller),
-    # which also licenses the sinks-only final reduction.
-    dag, edge_w = schedule._mc_graph()
+    # Durations are known non-negative here (validated above, or vouched
+    # for by the caller), which licenses the sinks-only final reduction.
+    dag, edge_w = schedule.disjunctive, schedule.comm_weights
     n_real = durations.shape[0]
     if not obs.enabled():
         return _batch_kernel(dag, edge_w, durations)

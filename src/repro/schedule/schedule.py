@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.problem import SchedulingProblem
 from repro.graph.analysis import ArrayDag
+from repro.graph.topology import is_topological_order
 
 __all__ = ["Schedule"]
 
@@ -67,7 +68,6 @@ class Schedule:
         "disjunctive",
         "comm_weights",
         "_expected_eval",
-        "_mc",
     )
 
     def __init__(
@@ -167,36 +167,6 @@ class Schedule:
         self.proc_of.setflags(write=False)
         self.rank_on_proc.setflags(write=False)
         self._expected_eval = None  # lazily filled by evaluation.evaluate
-        self._mc = None  # lazily built by _mc_graph
-
-    def _mc_graph(self) -> tuple[ArrayDag, np.ndarray]:
-        """Pruned ``(dag, comm_weights)`` view of ``G_s`` for Monte-Carlo.
-
-        A task-graph edge between two tasks on the *same* processor that
-        are not consecutive in its order is dominated for longest-path
-        purposes: its communication time is zero (Eqn. 1) and the chain
-        path between the two tasks has non-negative length, so the chain
-        candidate is always at least as large.  Dropping such edges leaves
-        every finish time — and hence every realized makespan — bit-for-bit
-        unchanged for non-negative durations, while shrinking the kernel's
-        per-level workload (typically ~15 % of ``G_s``'s edges on
-        paper-sized instances).  The full graph stays in ``disjunctive``
-        for structure-sensitive consumers (Clark moments, slack reports).
-        """
-        if self._mc is None:
-            dag = self.disjunctive
-            src, dst = dag.edge_src, dag.edge_dst
-            same = self.proc_of[src] == self.proc_of[dst]
-            consecutive = self.rank_on_proc[dst] == self.rank_on_proc[src] + 1
-            keep = ~same | consecutive
-            if keep.all():
-                self._mc = (dag, self.comm_weights)
-            else:
-                self._mc = (
-                    ArrayDag.build(self.n, src[keep], dst[keep]),
-                    np.ascontiguousarray(self.comm_weights[keep]),
-                )
-        return self._mc
 
     @staticmethod
     def _raise_invalid_partition(n: int, orders: list[np.ndarray]) -> None:
@@ -247,18 +217,7 @@ class Schedule:
         # Handing it to the constructor lets ArrayDag skip its peel/cycle
         # check.  Anything suspect falls back to the validating path so
         # error behaviour is unchanged.
-        topo = None
-        g = problem.graph
-        if (
-            order.size == n
-            and order.min() >= 0
-            and order.max() < n
-            and not np.any(np.bincount(order, minlength=n) != 1)
-        ):
-            pos = np.empty(n, dtype=np.int64)
-            pos[order] = np.arange(n, dtype=np.int64)
-            if bool(np.all(pos[g.edge_src] < pos[g.edge_dst])):
-                topo = order
+        topo = order if is_topological_order(problem.graph, order) else None
 
         assigned = proc_of[order]
         orders = [order[assigned == p] for p in range(m)]

@@ -12,14 +12,6 @@ from typing import Iterable, Sequence
 __all__ = ["format_table", "format_series"]
 
 
-def _fmt_cell(value: object, width: int) -> str:
-    if isinstance(value, float):
-        text = f"{value:.4g}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

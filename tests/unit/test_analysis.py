@@ -70,10 +70,15 @@ class TestLevels:
         singles = np.array([diamond_dag.makespan(batch[i], c) for i in range(16)])
         assert np.allclose(batched, singles)
 
-    def test_batched_levels_shape(self, diamond_dag):
+    def test_batched_levels_rejected(self, diamond_dag):
+        # The level passes take one (n,) vector; batches go through
+        # finish_times / makespan.
         batch = np.ones((5, 4))
-        assert diamond_dag.top_levels(batch).shape == (5, 4)
-        assert diamond_dag.bottom_levels(batch).shape == (5, 4)
+        with pytest.raises(ValueError, match="top_levels requires 1-D"):
+            diamond_dag.top_levels(batch)
+        with pytest.raises(ValueError, match="bottom_levels requires 1-D"):
+            diamond_dag.bottom_levels(batch)
+        assert diamond_dag.finish_times(batch).shape == (5, 4)
 
     def test_wrong_node_weight_shape_raises(self, diamond_dag):
         with pytest.raises(ValueError, match="last axis"):

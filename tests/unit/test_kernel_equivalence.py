@@ -1,8 +1,8 @@
-"""Equivalence of the level-synchronous kernels with the reference passes.
+"""Equivalence of the longest-path passes with the reference passes.
 
 The original per-node numpy passes are kept here as
 ``top_levels_reference`` / ``bottom_levels_reference``; this suite pins the
-level-synchronous scalar path, the batched numpy path, and the optional C
+scalar level passes, the batched numpy forward pass and the optional C
 kernel to them *bit-for-bit* across random DAGs, edgeless graphs,
 ``n = 1``, chains, and batch widths ``R in {0, 1, 1000}``.  It also
 checks that the vectorized ``Schedule.__init__`` validation rejects the
@@ -123,24 +123,32 @@ class TestScalarAgainstReference:
 @pytest.mark.parametrize("batch", [0, 1, 1000], ids=["R0", "R1", "R1000"])
 @pytest.mark.parametrize("name,dag", CASES, ids=[c[0] for c in CASES])
 class TestBatchedAgainstReference:
-    """Batched passes vs the per-node reference — exact equality."""
+    """Batched weights vs the per-node reference — exact equality.
+
+    The level passes take one weight vector: a batch raises, and the
+    scalar pass run row by row equals the reference's batched answer
+    (which the forward-pass property tests trust).
+    """
 
     def test_top_levels(self, name, dag, batch):
         rng = np.random.default_rng(4)
         _, edge_w = weights_for(dag, rng)
         node_w = rng.uniform(0.5, 10.0, size=(batch, dag.n))
-        got = dag.top_levels(node_w, edge_w)
+        with pytest.raises(ValueError, match="1-D"):
+            dag.top_levels(node_w, edge_w)
         want = top_levels_reference(dag, node_w, edge_w)
-        assert got.shape == want.shape == (batch, dag.n)
-        assert np.array_equal(got, want)
+        got = np.array([dag.top_levels(w, edge_w) for w in node_w])
+        assert np.array_equal(got.reshape(want.shape), want)
 
     def test_bottom_levels(self, name, dag, batch):
         rng = np.random.default_rng(5)
         _, edge_w = weights_for(dag, rng)
         node_w = rng.uniform(0.5, 10.0, size=(batch, dag.n))
-        got = dag.bottom_levels(node_w, edge_w)
+        with pytest.raises(ValueError, match="1-D"):
+            dag.bottom_levels(node_w, edge_w)
         want = bottom_levels_reference(dag, node_w, edge_w)
-        assert np.array_equal(got, want)
+        got = np.array([dag.bottom_levels(w, edge_w) for w in node_w])
+        assert np.array_equal(got.reshape(want.shape), want)
 
     def test_finish_and_makespan(self, name, dag, batch):
         rng = np.random.default_rng(6)
@@ -159,29 +167,33 @@ class TestBatchedAgainstReference:
 def test_native_matches_numpy_kernel(name, dag):
     """The optional C kernel and the numpy kernel agree bit-for-bit.
 
-    When no compiler is available ``_finish_node_major`` already IS the
-    numpy path and the check degenerates to self-consistency — still worth
-    running for the scratch-buffer copy semantics.
+    The C kernel takes every batch width.  When no compiler is available
+    ``_finish_node_major`` already IS the numpy path and the check
+    degenerates to self-consistency — still worth running for the
+    scratch-buffer copy semantics.
     """
     if dag.n == 0:
         pytest.skip("kernels guard n == 0 before dispatch")
     rng = np.random.default_rng(8)
     _, edge_w = weights_for(dag, rng)
-    node_w = rng.uniform(0.5, 10.0, size=(64, dag.n))
-    got = dag._finish_node_major(node_w, edge_w).copy()
-    want = dag._finish_node_major_numpy(node_w, edge_w).copy()
-    assert np.array_equal(got, want)
+    for batch in (1, 7, 64):
+        node_w = rng.uniform(0.5, 10.0, size=(batch, dag.n))
+        got = dag._finish_node_major(node_w, edge_w).copy()
+        want = dag._finish_node_major_numpy(node_w, edge_w).copy()
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name,dag", CASES, ids=[c[0] for c in CASES])
 def test_negative_weights_keep_reference_floor(name, dag):
     """No zero floor: the reference overwrites tl with the plain candidate
-    max, so negative candidates must propagate, not clamp at 0."""
+    max, so negative candidates must propagate, not clamp at 0 — in the
+    batched forward pass and in the scalar level pass."""
     rng = np.random.default_rng(11)
     node_w = rng.uniform(-5.0, 5.0, size=(16, dag.n))
     edge_w = rng.uniform(-2.0, 2.0, size=dag.edge_src.shape[0])
     assert np.array_equal(
-        dag.top_levels(node_w, edge_w), top_levels_reference(dag, node_w, edge_w)
+        dag.finish_times(node_w, edge_w),
+        top_levels_reference(dag, node_w, edge_w) + node_w,
     )
     assert np.array_equal(
         dag.top_levels(node_w[0], edge_w),
@@ -189,8 +201,21 @@ def test_negative_weights_keep_reference_floor(name, dag):
     )
 
 
+def test_negative_zero_entry_weight():
+    """An entry finishes at ``0.0 + w`` on both backends, as in the
+    reference, so a ``-0.0`` weight finishes at ``+0.0``."""
+    dag = ArrayDag.build(3, np.array([0]), np.array([1]))
+    node_w = np.full((2, 3), -0.0)
+    edge_w = np.zeros(1)
+    want = (top_levels_reference(dag, node_w, edge_w) + node_w).view(np.int64)
+    got = dag._finish_node_major(node_w, edge_w).T.copy()
+    assert np.array_equal(got.view(np.int64), want)
+    got = dag._finish_node_major_numpy(node_w, edge_w).T.copy()
+    assert np.array_equal(got.view(np.int64), want)
+
+
 def test_batch_makespans_matches_reference_on_full_gs():
-    """End-to-end: pruned Monte-Carlo graph vs reference on the full G_s."""
+    """End-to-end: batch_makespans vs the reference pass on G_s."""
     problem = make_random_problem(42, n=24, m=3)
     schedule = HeftScheduler().schedule(problem)
     durations = schedule.realize_durations(200, rng=9)
