@@ -38,7 +38,7 @@ import heapq
 import numpy as np
 
 from repro.graph import _native
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import TaskGraph, _build_csr
 from repro.obs import runtime as _obs
 
 __all__ = [
@@ -67,8 +67,8 @@ class ArrayDag:
         Number of distinct levels (``level.max() + 1``); lazy like
         ``level``.
     pred_indptr, pred_eidx / succ_indptr, succ_eidx:
-        CSR grouping of edge indices by destination / source node
-        (built lazily).
+        CSR grouping of edge indices by destination / source node, each
+        direction built on its first read.
     topo:
         A valid deterministic topological order (``(n,)`` permutation),
         computed lazily on first access (the numpy passes do not need it;
@@ -82,10 +82,8 @@ class ArrayDag:
         "_level",
         "_depth",
         "_succ_adj",
-        "_pred_indptr",
-        "_pred_eidx",
-        "_succ_indptr",
-        "_succ_eidx",
+        "_pred",
+        "_succ",
         "_topo",
         "_fwd_edges",
         "_bwd_edges",
@@ -122,10 +120,8 @@ class ArrayDag:
         self._level = None
         self._depth = None
         self._succ_adj = None
-        self._pred_indptr = None
-        self._pred_eidx = None
-        self._succ_indptr = None
-        self._succ_eidx = None
+        self._pred = None
+        self._succ = None
         self._topo = None
         self._fwd_edges = None
         self._bwd_edges = None
@@ -213,11 +209,14 @@ class ArrayDag:
 
         The result is cached on the graph (task graphs are immutable), so
         repeated calls — ``critical_path_length``, ``critical_path`` and
-        ``dag_levels`` on the same graph — build it once.
+        ``dag_levels`` on the same graph — build it once.  It adopts the
+        graph's own CSR indexes, which the same stable sorts built.
         """
         dag = graph._dag
         if dag is None:
             dag = ArrayDag(graph.n, graph.edge_src, graph.edge_dst)
+            dag._pred = graph._pred_indptr, graph._pred_eidx
+            dag._succ = graph._succ_indptr, graph._succ_eidx
             graph._dag = dag
         return dag
 
@@ -225,43 +224,37 @@ class ArrayDag:
     # Lazy derived structure
     # ------------------------------------------------------------------ #
 
-    def _build_csr(self) -> None:
-        def csr(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            order = np.argsort(keys, kind="stable")
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(keys, minlength=self.n), out=indptr[1:])
-            return indptr, order
+    def _pred_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The by-destination CSR, built on its first read."""
+        if self._pred is None:
+            self._pred = _build_csr(self.n, self.edge_dst)
+        return self._pred
 
-        self._pred_indptr, self._pred_eidx = csr(self.edge_dst)
-        self._succ_indptr, self._succ_eidx = csr(self.edge_src)
+    def _succ_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The by-source CSR, built on its first read."""
+        if self._succ is None:
+            self._succ = _build_csr(self.n, self.edge_src)
+        return self._succ
 
     @property
     def pred_indptr(self) -> np.ndarray:
         """CSR row pointer of the by-destination edge grouping (lazy)."""
-        if self._pred_indptr is None:
-            self._build_csr()
-        return self._pred_indptr
+        return self._pred_csr()[0]
 
     @property
     def pred_eidx(self) -> np.ndarray:
         """Edge indices sorted by destination node (lazy)."""
-        if self._pred_eidx is None:
-            self._build_csr()
-        return self._pred_eidx
+        return self._pred_csr()[1]
 
     @property
     def succ_indptr(self) -> np.ndarray:
         """CSR row pointer of the by-source edge grouping (lazy)."""
-        if self._succ_indptr is None:
-            self._build_csr()
-        return self._succ_indptr
+        return self._succ_csr()[0]
 
     @property
     def succ_eidx(self) -> np.ndarray:
         """Edge indices sorted by source node (lazy)."""
-        if self._succ_eidx is None:
-            self._build_csr()
-        return self._succ_eidx
+        return self._succ_csr()[1]
 
     @property
     def topo(self) -> np.ndarray:

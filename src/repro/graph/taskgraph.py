@@ -16,18 +16,16 @@ import numpy as np
 __all__ = ["TaskGraph"]
 
 
-def _build_csr(
-    n: int, keys: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _build_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group edge indices by *keys* (node ids) into a CSR (indptr, indices) pair.
 
     ``indices[indptr[v]:indptr[v+1]]`` lists positions into the edge arrays
-    of all edges whose *keys* entry equals ``v``, following *order*.
+    of all edges whose *keys* entry equals ``v``, in edge order (a stable
+    sort).
     """
-    counts = np.bincount(keys, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, order.astype(np.int64, copy=False)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    return indptr, np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
 
 class TaskGraph:
@@ -119,10 +117,8 @@ class TaskGraph:
         self.edge_dst = dst[order]
         self.edge_data = data[order]
 
-        succ_order = np.argsort(self.edge_src, kind="stable")
-        self._succ_indptr, self._succ_eidx = _build_csr(n, self.edge_src, succ_order)
-        pred_order = np.argsort(self.edge_dst, kind="stable")
-        self._pred_indptr, self._pred_eidx = _build_csr(n, self.edge_dst, pred_order)
+        self._succ_indptr, self._succ_eidx = _build_csr(n, self.edge_src)
+        self._pred_indptr, self._pred_eidx = _build_csr(n, self.edge_dst)
 
         self._topo = self._kahn_topological_order()
         self._dag = None  # lazily filled by ArrayDag.from_taskgraph

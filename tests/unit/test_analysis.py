@@ -38,6 +38,22 @@ class TestArrayDagBuild:
         assert diamond_dag.pred_edges(0).size == 0
         assert diamond_dag.succ_edges(3).size == 0
 
+    def test_from_taskgraph_adopts_the_graphs_csr(self, small_random_problem):
+        graph = small_random_problem.graph
+        adopted = ArrayDag.from_taskgraph(graph)
+        built = ArrayDag(graph.n, graph.edge_src, graph.edge_dst)
+        for name in ("pred_indptr", "pred_eidx", "succ_indptr", "succ_eidx"):
+            ours, theirs = getattr(adopted, name), getattr(built, name)
+            assert ours.dtype == theirs.dtype == np.int64
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_each_csr_direction_is_built_on_its_first_read(self, diamond_graph):
+        g = diamond_graph
+        dag = ArrayDag(g.n, g.edge_src, g.edge_dst)
+        assert dag.pred_eidx.tolist() == [0, 1, 2, 3]
+        assert dag._succ is None
+        assert dag.succ_indptr.tolist() == [0, 2, 3, 4, 4]
+
 
 class TestLevels:
     def test_top_levels_hand_computed(self, diamond_dag):
