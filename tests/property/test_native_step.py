@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.problem import SchedulingProblem
 from repro.energy import EnergyConstraintFitness, PowerModel
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.workloads import make_problem
 from repro.ga import engine as engine_module
 from repro.ga.chromosome import random_chromosome
 from repro.ga.engine import GAParams, GeneticScheduler
@@ -309,6 +311,24 @@ def test_duplicate_initial_rows():
     _assert_backends_agree(
         lambda: GeneticScheduler(SlackFitness(), params, 3), problem
     )
+
+
+@pytest.mark.parametrize("population", [19, 20])
+@pytest.mark.parametrize("policy", ["makespan", "slack", "eps-mixed"])
+def test_converged_runs_match_the_python_loop(policy, population):
+    """A paper-sized run into its converged state, where about half the
+    children are copies of a parent and the diversity sits near 0.26: a
+    ``medium`` instance, 300 generations, the stagnation stop off.  An
+    odd population copies its leftover row through."""
+    problem = make_problem(ExperimentConfig(scale="medium", seed=1), 2.0, 0)
+    params = GAParams(
+        population_size=population, max_iterations=300, stagnation_limit=300
+    )
+    fitness = _fitness(policy, problem)
+    outcome = _assert_backends_agree(
+        lambda: GeneticScheduler(fitness, params, 1), problem
+    )
+    assert outcome[-2] == 300
 
 
 def test_huge_iteration_cap_stops_on_stagnation():

@@ -18,17 +18,25 @@ arbitrary DAG shapes, including:
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.problem import SchedulingProblem
 from repro.ga.chromosome import Chromosome, random_chromosome
+from repro.ga.engine import GAParams
+from repro.ga.fitness import SlackFitness
 from repro.ga.popeval import PopulationEvaluator, _eval_numpy, evaluate_population
 from repro.graph import _native
+from repro.graph.taskgraph import TaskGraph
 from repro.schedule.evaluation import evaluate
 
+from tests.conftest import numpy_backend
 from tests.property.strategies import problems
+from tests.property.test_native_step import _GivenPopulation
 
 
 def _population(problem, size: int, seed: int) -> list[Chromosome]:
@@ -113,6 +121,57 @@ def test_backends_agree_on_inf_durations(problem, seed, inf_seed):
     procs = np.stack([c.proc_of for c in chromosomes])
     touches_inf = mask[np.arange(problem.n), procs].any(axis=1)
     assert np.array_equal(np.isinf(pe.makespans), touches_inf)
+
+
+@st.composite
+def _one_violation(draw):
+    """A problem, a valid row, and the row with one edge's destination
+    moved just before its source: its only violation sits at the first,
+    a middle or the last pair of positions, on one processor or on two.
+
+    The drawn graph's ids are a topological order; a random relabelling
+    makes that order ``label``, so positions and task ids differ.
+    """
+    problem = draw(problems(min_n=2, max_n=10))
+    n, m = problem.n, problem.m
+    k = draw(st.sampled_from([0, (n - 2) // 2, n - 2]))
+    label = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    g = problem.graph
+    edges = dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), g.edge_data))
+    edges.setdefault((k, k + 1), 1.0)
+    graph = TaskGraph(
+        n, [(label[u], label[v]) for u, v in edges], list(edges.values())
+    )
+    problem = SchedulingProblem(graph, problem.platform, problem.uncertainty)
+    procs = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).integers(
+        m, size=n
+    )
+    source, dest = label[k], label[k + 1]
+    same = draw(st.booleans()) or m == 1
+    procs[dest] = procs[source] if same else (procs[source] + 1) % m
+    swapped = label.copy()
+    swapped[[k, k + 1]] = dest, source
+    return problem, (label, procs), (swapped, procs.copy())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_one_violation())
+def test_precedence_is_checked_at_every_position(case):
+    """One broken edge anywhere in the string is rejected by the
+    population kernel on both backends and by a whole GA run."""
+    problem, good, bad = case
+    rows = [good, bad, good]
+    orders, procs = (np.stack(a) for a in zip(*rows))
+    match = "not a topological order"
+    engine = _GivenPopulation(
+        SlackFitness(), GAParams(population_size=3), 0, rows=rows
+    )
+    for backend in (contextlib.nullcontext, numpy_backend):
+        with backend():
+            with pytest.raises(ValueError, match=match):
+                PopulationEvaluator(problem).evaluate(orders, procs)
+            with pytest.raises(ValueError, match=match):
+                engine.run(problem)
 
 
 def test_repro_native_opt_out_forces_fallback(monkeypatch):
@@ -225,6 +284,8 @@ class TestValidation:
             )
             with pytest.raises(ValueError, match="not a permutation"):
                 evaluate_population(problem, [reversed_, not_perm])
+            with pytest.raises(ValueError, match="out of range"):
+                evaluate_population(problem, [reversed_, bad_proc])
 
     @pytest.mark.parametrize(
         "array, value, match",
