@@ -4,8 +4,9 @@ These are real timing benchmarks (multiple rounds), covering the paths
 the GA and Monte-Carlo evaluation hammer: schedule construction, static
 evaluation, batch makespans (on a warm and on a freshly decoded
 schedule), a whole Monte-Carlo report (one
-``mc_makespans`` call with the native library), one GA generation, the
-GA's initial population (one ``ga_random_rows`` call), and HEFT.
+``mc_makespans`` call with the native library), a one-generation GA run,
+a paper-cell-shaped GA run of 300 generations, the GA's initial
+population (one ``ga_random_rows`` call), and HEFT.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro.core.problem import SchedulingProblem
 from repro.ga.engine import GAParams, GeneticScheduler
-from repro.ga.fitness import SlackFitness
+from repro.ga.fitness import EpsilonConstraintFitness, SlackFitness
 from repro.graph.generator import DagParams
 from repro.heuristics.heft import HeftScheduler
 from repro.heuristics.random_sched import random_schedule
@@ -95,7 +96,9 @@ def test_perf_heft_100_tasks(benchmark, paper_problem):
 
 
 def test_perf_ga_generation(benchmark, paper_problem):
-    """Cost of one full GA generation at the paper's population size."""
+    """A whole one-generation GA run at the paper's population size: the
+    engine's set-up and HEFT seed, the initial population, generation 0
+    and one generation."""
     params = GAParams(max_iterations=1, stagnation_limit=100)
 
     def one_generation():
@@ -103,6 +106,21 @@ def test_perf_ga_generation(benchmark, paper_problem):
 
     result = benchmark(one_generation)
     assert result.generations == 1
+
+
+def test_perf_ga_run(benchmark, paper_problem, paper_schedule):
+    """A ``paper-cell`` solve's GA: the ε-constraint policy at ε = 1.5, 300
+    generations with the stagnation stop off, HEFT given."""
+    fitness = EpsilonConstraintFitness.for_problem(paper_problem, 1.5)
+    params = GAParams(max_iterations=300, stagnation_limit=300)
+
+    def run():
+        return GeneticScheduler(fitness, params, rng=2).run(
+            paper_problem, heft_schedule=paper_schedule
+        )
+
+    result = benchmark(run)
+    assert result.generations == 300
 
 
 def test_perf_random_schedule_decode(benchmark, paper_problem):
