@@ -1,9 +1,12 @@
 """Hierarchical spans on a monotonic clock.
 
 A :class:`Span` measures one named region of execution.  Spans nest: the
-:class:`Tracer` keeps a per-thread stack, so a span opened while another
-is active records that span as its parent, and the ``trace-summary``
-renderer can attribute wall time through the tree.
+:class:`Tracer` keeps a stack of open spans per asyncio task on an event
+loop and per thread elsewhere, so a span opened while another is active
+in the same task or thread records that span as its parent, and the
+``trace-summary`` renderer can attribute wall time through the tree.
+Concurrent requests served on one event loop therefore never nest
+under each other.
 
 Records are emitted to the sink when a span **closes** (close order is
 deterministic for deterministic programs); ids are assigned in **start**
@@ -15,6 +18,7 @@ always propagates.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from typing import Any
 
@@ -49,19 +53,22 @@ class Span:
     ``with`` block, :meth:`set` attaches attributes to the span.
     """
 
-    __slots__ = ("id", "parent_id", "name", "start", "attrs", "_tracer")
+    __slots__ = ("id", "parent_id", "name", "start", "attrs", "_tracer", "_outer")
 
     def __init__(
         self,
         span_id: int,
-        parent_id: int | None,
+        outer: "Span | None",
         name: str,
         start: float,
         attrs: dict[str, Any],
         tracer: "Tracer",
     ) -> None:
         self.id = span_id
-        self.parent_id = parent_id
+        self.parent_id = outer.id if outer is not None else None
+        # The span that was innermost when this one opened: the rest of
+        # the open-span stack, which no one changes (see Tracer).
+        self._outer = outer
         self.name = name
         self.start = start
         self.attrs = attrs
@@ -105,7 +112,14 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Span factory + per-thread nesting stacks for one session.
+    """Span factory + per-task (per-thread) nesting stacks for one session.
+
+    The stack of open spans is immutable and lives in a
+    :class:`contextvars.ContextVar`: the variable holds the innermost
+    open span, and each span links to the one it opened under.  A task
+    copies its context when it is created, so it inherits the spans open
+    at that point, and the spans it opens afterwards stay its own.  A
+    thread starts with an empty stack.
 
     Parameters
     ----------
@@ -125,7 +139,9 @@ class Tracer:
         self._epoch = epoch
         self._lock = threading.Lock()
         self._next_id = 1
-        self._local = threading.local()
+        self._innermost: contextvars.ContextVar[Span | None] = (
+            contextvars.ContextVar("repro.obs.spans", default=None)
+        )
         self.n_spans = 0
         self.n_errors = 0
 
@@ -138,44 +154,36 @@ class Tracer:
             self._next_id += count
         return first
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def current_id(self) -> int | None:
-        """Id of the innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1].id if stack else None
+        """Id of the innermost open span of this task or thread, if any."""
+        innermost = self._innermost.get()
+        return innermost.id if innermost is not None else None
 
     # ---------------------------------------------------------------- spans
 
     def start(self, name: str, attrs: dict[str, Any]) -> Span:
-        """Open a span nested under this thread's innermost open span."""
-        stack = self._stack()
-        parent_id = stack[-1].id if stack else None
+        """Open a span nested under the innermost open span of this task
+        or thread."""
         span = Span(
             self._alloc_ids(),
-            parent_id,
+            self._innermost.get(),
             name,
             self._clock() - self._epoch,
             attrs,
             self,
         )
-        stack.append(span)
+        self._innermost.set(span)
         return span
 
     def close(self, span: Span, exc_type) -> None:
         """Close the span and emit its record (error status if *exc_type*)."""
         end = self._clock() - self._epoch
-        stack = self._stack()
         # Tolerate out-of-order closes (a caller holding the span past an
         # inner `with`): pop up to and including the span.
-        while stack:
-            top = stack.pop()
-            if top is span:
-                break
+        top = self._innermost.get()
+        while top is not None and top is not span:
+            top = top._outer
+        self._innermost.set(top._outer if top is not None else None)
         status = "ok" if exc_type is None else "error"
         attrs = dict(span.attrs)
         if exc_type is not None:

@@ -1,5 +1,6 @@
 """Unit tests for repro.obs: spans, metrics, sinks, schema, summary."""
 
+import asyncio
 import json
 import time
 
@@ -88,6 +89,31 @@ class TestSpans:
         assert outer["parent"] is None
         assert inner["parent"] == outer["id"]
         assert inner["id"] > outer["id"]  # ids in start order
+
+    def test_concurrent_tasks_nest_separately(self, obs_session):
+        """Two requests interleaved on one event loop, each holding its
+        span across awaits: every span's parent is in its own task."""
+        _, sink = obs_session
+
+        async def request(name, mine, other):
+            with runtime.trace("service.request", req=name):
+                mine.set()
+                await other.wait()
+                with runtime.trace("inner", req=name):
+                    await asyncio.sleep(0)
+                await asyncio.sleep(0)
+
+        async def main():
+            a, b = asyncio.Event(), asyncio.Event()
+            await asyncio.gather(request("a", a, b), request("b", b, a))
+
+        asyncio.run(main())
+        requests = sink.spans("service.request")
+        by_id = {span["id"]: span for span in requests}
+        assert [span["parent"] for span in requests] == [None, None]
+        for inner in sink.spans("inner"):
+            parent = by_id[inner["parent"]]
+            assert parent["attrs"]["req"] == inner["attrs"]["req"]
 
     def test_golden_stream(self, obs_session):
         """Exact records under the fake clock — the schema, pinned."""
