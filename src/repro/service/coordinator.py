@@ -2,8 +2,11 @@
 
 The coordinator speaks the exact same wire protocol as the single-node
 :class:`~repro.service.server.SchedulerService` — clients cannot tell
-which one they connected to — but instead of solving, it routes every
-``solve`` to one of N scheduler-worker shards over the comm layer:
+which one they connected to.  It *is* that service: it runs the same
+request pipeline, connection loop and lifecycle, and overrides only
+routing (every solve passes through; the shards admit), where a core
+comes from on a cache miss (a shard, over the comm layer, instead of a
+local solver), its backends (the shards) and its ``status`` sections:
 
 * **routing** — the problem fingerprint is consistent-hashed to a home
   shard (:mod:`repro.service.sharding`); GA requests may be stolen by
@@ -12,9 +15,10 @@ which one they connected to — but instead of solving, it routes every
   injects seeds into the payload *before* routing (shards run with the
   store disabled), so sharded responses stay bit-identical to the
   single-node daemon for any shard count;
-* **replicated cache** — every non-degraded core is written through to
-  a coordinator-side :class:`ResultCache`, so a repeat request is a hit
-  even after the shard that computed it was killed;
+* **replicated cache** — every core but a relayed shed is written
+  through to the coordinator's :class:`ResultCache`, so a repeat request
+  is a hit even after the shard that computed it was killed, and
+  identical in-flight requests coalesce before they are dispatched;
 * **supervision** — a reader task per shard detects comm loss, fails
   the shard's in-flight dispatches, and respawns the shard (bounded by
   ``max_restarts``); failed dispatches are re-routed to live shards,
@@ -32,27 +36,16 @@ import asyncio
 import itertools
 import multiprocessing as mp
 import os
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.io.json_io import problem_fingerprint, problem_from_dict
 from repro.obs import runtime as obs
-from repro.service.admission import ADMISSION_MODES
-from repro.service.cache import cache_key
 from repro.service.comm import Comm, CommClosedError, DEFAULT_MAX_FRAME
 from repro.service.comm import connect as comm_connect
-from repro.service.protocol import (
-    ERROR_CODES,
-    PROTOCOL_VERSION,
-    SOLVERS,
-    ProtocolError,
-    ok_response,
-)
+from repro.service.protocol import ERROR_CODES, ProtocolError
 from repro.service.server import SchedulerService, ServiceConfig
 from repro.service.shard import ShardServer, shard_config, shard_main
 from repro.service.sharding import HashRing, choose_shard
-from repro.service.solvers import solve_params
 
 __all__ = ["CoordinatorConfig", "Coordinator", "ShardDown"]
 
@@ -65,8 +58,19 @@ DISPATCH_ATTEMPTS = 8
 #: How the tcp transport starts shard processes.
 SHARD_START_METHOD = "fork"
 
+#: :class:`CoordinatorConfig` fields each shard's :class:`ServiceConfig`
+#: takes as they are.
+_SHARD_FIELDS = (
+    "workers",
+    "ga_queue_limit",
+    "admission_mode",
+    "stream_threshold",
+    "fast_threads",
+    "max_line_bytes",
+)
+
 #: Response fields the coordinator strips from a shard reply to recover
-#: the cacheable core (everything the single-node ``_solve`` adds around
+#: the cacheable core (everything ``SchedulerService._solve`` adds around
 #: the ``execute_payload`` result).
 _ENVELOPE_FIELDS = frozenset(
     {
@@ -108,8 +112,9 @@ class CoordinatorConfig:
         to start, no parallelism — tests and docs); ``"tcp"`` forks one
         OS process per shard (real multi-core GA throughput).
     workers / ga_queue_limit / admission_mode / stream_threshold /
-    fast_threads:
-        Forwarded to each shard's :class:`ServiceConfig`.
+    fast_threads / max_line_bytes:
+        Forwarded to each shard's :class:`ServiceConfig`, whose checks
+        they pass when this config is built.
     cache_bytes:
         Budget of the coordinator's replicated result cache (each shard's
         local cache has :data:`SHARD_CACHE_BYTES`).
@@ -143,15 +148,22 @@ class CoordinatorConfig:
             raise ValueError(
                 f"unknown transport {self.transport!r}; choose from {TRANSPORTS}"
             )
-        if self.admission_mode not in ADMISSION_MODES:
-            raise ValueError(
-                f"unknown admission mode {self.admission_mode!r}; "
-                f"choose from {ADMISSION_MODES}"
-            )
         if self.steal_margin < 1:
             raise ValueError(f"steal_margin must be >= 1, got {self.steal_margin}")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
+        self._service_config()  # ServiceConfig checks every field it takes
+
+    def _service_config(self) -> ServiceConfig:
+        """The coordinator's own :class:`ServiceConfig`: the client-facing
+        bind and cache budget, and the fields every shard takes."""
+        return ServiceConfig(
+            host=self.host,
+            port=self.port,
+            listen=self.listen,
+            cache_bytes=self.cache_bytes,
+            **{name: getattr(self, name) for name in _SHARD_FIELDS},
+        )
 
 
 class _ShardHandle:
@@ -189,8 +201,9 @@ class Coordinator(SchedulerService):
         coordinator = Coordinator(CoordinatorConfig(shards=4, transport="tcp"))
         asyncio.run(coordinator.run())     # serves until 'shutdown'
 
-    Inherits the connection loop, op dispatch and warm-start logic from
-    the single-node service; overrides solving with shard dispatch.
+    Runs the single-node service's request pipeline, connection loop and
+    lifecycle; overrides routing, the core of a cache miss (shard
+    dispatch), the backends (the shards) and the ``status`` sections.
     """
 
     def __init__(
@@ -200,22 +213,7 @@ class Coordinator(SchedulerService):
         progress: Callable[[str], None] | None = None,
     ) -> None:
         self.topology = config or CoordinatorConfig()
-        t = self.topology
-        super().__init__(
-            ServiceConfig(
-                host=t.host,
-                port=t.port,
-                listen=t.listen,
-                workers=t.workers,
-                ga_queue_limit=t.ga_queue_limit,
-                admission_mode=t.admission_mode,
-                stream_threshold=t.stream_threshold,
-                cache_bytes=t.cache_bytes,
-                fast_threads=t.fast_threads,
-                max_line_bytes=t.max_line_bytes,
-            ),
-            progress=progress,
-        )
+        super().__init__(self.topology._service_config(), progress=progress)
         self.counters.update(
             routed_home=0,
             routed_stolen=0,
@@ -223,7 +221,7 @@ class Coordinator(SchedulerService):
             dispatch_retries=0,
             shard_restarts=0,
         )
-        node_ids = [f"shard-{i}" for i in range(t.shards)]
+        node_ids = [f"shard-{i}" for i in range(self.topology.shards)]
         self._ring = HashRing(node_ids)
         self._shards = {nid: _ShardHandle(nid) for nid in node_ids}
         self._namespace = f"coord{next(_NAMESPACE)}-{os.getpid()}"
@@ -233,11 +231,8 @@ class Coordinator(SchedulerService):
 
     # --------------------------------------------------------------- lifecycle
 
-    async def start(self) -> None:
-        """Spawn the shards, then bind the client-facing listener."""
-        from repro.service.comm import listen as comm_listen
-
-        self._shutdown_event = asyncio.Event()
+    async def _start_backends(self) -> None:
+        """Spawn the shards (all or none)."""
         try:
             for handle in self._shards.values():
                 await self._start_shard(handle)
@@ -246,34 +241,14 @@ class Coordinator(SchedulerService):
             for handle in self._shards.values():
                 await self._stop_shard(handle, graceful=False)
             raise
-        self._listener = await comm_listen(
-            self.listen_address,
-            self._handle_comm,
-            max_frame=self.config.max_line_bytes,
-        )
-        self.port = self._listener.port
-        self._started = time.monotonic()
-        self._log(
-            f"coordinating {len(self._shards)} {self.topology.transport} "
-            f"shard(s) on {self._listener.address}"
-        )
 
     async def aclose(self) -> None:
         """Stop the listener, the client connections, then the shards."""
         self._closing = True
-        if self._listener is not None:
-            await self._listener.aclose()
-            self._listener = None
-        for comm in list(self._conns):
-            await comm.aclose()
-        if self._conn_tasks:
-            _, stragglers = await asyncio.wait(list(self._conn_tasks), timeout=5.0)
-            for task in stragglers:
-                task.cancel()
-            if stragglers:
-                await asyncio.gather(*stragglers, return_exceptions=True)
-            self._conn_tasks.clear()
-        self._conns.clear()
+        await super().aclose()
+
+    async def _stop_backends(self) -> None:
+        """Cancel supervision, then stop every shard."""
         for task in list(self._aux_tasks):
             task.cancel()
         if self._aux_tasks:
@@ -281,22 +256,15 @@ class Coordinator(SchedulerService):
             self._aux_tasks.clear()
         for handle in self._shards.values():
             await self._stop_shard(handle, graceful=True)
-        self._log("stopped")
 
     # ---------------------------------------------------------- shard spawning
 
     def _shard_kwargs(self, node_id: str, listen: str) -> dict[str, Any]:
-        t = self.topology
         return dict(
+            {name: getattr(self.topology, name) for name in _SHARD_FIELDS},
             node_id=node_id,
             listen=listen,
-            workers=t.workers,
-            ga_queue_limit=t.ga_queue_limit,
-            admission_mode=t.admission_mode,
-            stream_threshold=t.stream_threshold,
             cache_bytes=SHARD_CACHE_BYTES,
-            fast_threads=t.fast_threads,
-            max_line_bytes=t.max_line_bytes,
         )
 
     async def _start_shard(self, handle: _ShardHandle) -> None:
@@ -531,101 +499,42 @@ class Coordinator(SchedulerService):
 
     # ------------------------------------------------------------------- solve
 
-    async def _solve(self, request: dict[str, Any], span) -> dict[str, Any]:
-        if self._draining:
-            raise ProtocolError("shutting-down", "server is shutting down")
-        self.counters["solve"] += 1
-        t0 = time.perf_counter()
-        try:
-            problem = problem_from_dict(request["problem"])
-            fingerprint = problem_fingerprint(problem)
-        except (ValueError, KeyError, TypeError) as exc:
+    def _route(
+        self, request: dict[str, Any]
+    ) -> tuple[dict[str, Any], str, str | None]:
+        """Every solve passes through: the shard that runs it admits it."""
+        return request, "coordinator", None
+
+    async def _execute(
+        self, request: dict[str, Any], tier: str, fingerprint: str
+    ) -> tuple[dict[str, Any], bool, str | None]:
+        """Dispatch a cache miss to a shard and relay its answer.
+
+        The shard's ``cached`` flag and shed reason come back with the
+        core.  A relayed shed counts as degraded here unless the shard
+        answered it from its cache.
+        """
+        reply = await self._dispatch(request, fingerprint)
+        if not reply.get("ok"):
+            error = reply.get("error") or {}
+            code = error.get("code", "internal")
             raise ProtocolError(
-                "bad-problem", f"problem payload rejected: {exc}"
-            ) from exc
-        span.set(solver=request["solver"], tier="coordinator")
-
-        request, features, warm_seeds_count = self._apply_warm_start(
-            request, problem
-        )
-        key = cache_key(fingerprint, request["solver"], **solve_params(request))
-
-        outcome, cached, coalesced = await self._resolve(key, request, fingerprint)
-        core = outcome["core"]
-        degraded = outcome["degraded"]
-        if degraded and not cached and not coalesced:
+                code if code in ERROR_CODES else "internal",
+                error.get("message", "shard error"),
+            )
+        core = {k: v for k, v in reply.items() if k not in _ENVELOPE_FIELDS}
+        cached = bool(reply.get("cached"))
+        shed = reply.get("degraded_reason") if reply.get("degraded") else None
+        if shed is not None and not cached:
             self.counters["degraded"] += 1
-
-        self._record_warm_start(core, problem, fingerprint, features)
-        span.set(cached=cached, degraded=degraded)
-        if self.config.node_id:  # pragma: no cover - coordinators are unnamed
-            span.set(node=self.config.node_id)
-        obs.add("service.cache_hit" if cached else "service.cache_miss")
-        response = ok_response(request["id"], **core)
-        response["cached"] = cached
-        response["coalesced"] = coalesced
-        response["degraded"] = degraded
-        response["warm_seeds"] = warm_seeds_count
-        if degraded:
-            response["requested_solver"] = "ga"
-            response["degraded_reason"] = outcome["degraded_reason"]
-        response["elapsed_s"] = time.perf_counter() - t0
-        return response
-
-    async def _resolve(
-        self, key: str, request: dict[str, Any], fingerprint: str
-    ) -> tuple[dict[str, Any], bool, bool]:
-        """Replicated cache, coordinator-level coalescing, or dispatch."""
-        hit = self.cache.get(key)
-        if hit is not None:
-            return {"core": hit, "degraded": False, "degraded_reason": None}, True, False
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.counters["coalesced"] += 1
-            obs.add("service.coalesced")
-            outcome = await asyncio.shield(inflight)
-            return dict(outcome, core=dict(outcome["core"])), False, True
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        try:
-            reply = await self._dispatch(request, fingerprint)
-            if not reply.get("ok"):
-                error = reply.get("error") or {}
-                code = error.get("code", "internal")
-                raise ProtocolError(
-                    code if code in ERROR_CODES else "internal",
-                    error.get("message", "shard error"),
-                )
-            core = {k: v for k, v in reply.items() if k not in _ENVELOPE_FIELDS}
-            outcome = {
-                "core": core,
-                "degraded": bool(reply.get("degraded")),
-                "degraded_reason": reply.get("degraded_reason"),
-                "shard_cached": bool(reply.get("cached")),
-            }
-            if not future.done():
-                future.set_result(outcome)
-        except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-            future.exception()  # a coalesced waiter may never retrieve it
-            raise
-        finally:
-            self._inflight.pop(key, None)
-        if not outcome["degraded"]:
-            # Write-through: the replicated tier is what lets a repeat
-            # request hit even after the computing shard was killed.  A
-            # degraded core is a *different* solve (HEFT stand-in keyed
-            # under the shard's heft key, not this GA key), so it is
-            # deliberately not replicated under `key`.
-            self.cache.put(key, core)
-        cached = outcome["shard_cached"]
-        return dict(outcome, core=dict(core)), cached, False
+        return core, cached, shed
 
     # ------------------------------------------------------------------ status
 
-    def _status_response(self, request_id: Any) -> dict[str, Any]:
+    def _status_sections(self, server: dict[str, Any]) -> dict[str, Any]:
+        """The coordinator's ``status`` sections, routing and the shards,
+        and its role and transport in *server*."""
+        server.update(role="coordinator", transport=self.topology.transport)
         shards = []
         total_inflight = 0
         for handle in self._shards.values():
@@ -649,21 +558,8 @@ class Coordinator(SchedulerService):
             "service.shards_alive",
             float(sum(1 for s in shards if s["alive"])),
         )
-        return ok_response(
-            request_id,
-            op="status",
-            server={
-                "protocol": PROTOCOL_VERSION,
-                "uptime_s": time.monotonic() - self._started,
-                "role": "coordinator",
-                "transport": self.topology.transport,
-                "workers": self.config.workers,
-                "draining": self._draining,
-            },
-            requests=dict(self.counters),
-            cache=self.cache.stats(),
-            warm_start=self.warm_store.stats(),
-            routing={
+        return {
+            "routing": {
                 "home": self.counters["routed_home"],
                 "stolen": self.counters["routed_stolen"],
                 "failover": self.counters["routed_failover"],
@@ -671,13 +567,9 @@ class Coordinator(SchedulerService):
                 "shard_restarts": self.counters["shard_restarts"],
                 "steal_margin": self.topology.steal_margin,
             },
-            ga={"inflight": total_inflight},
-            solvers={
-                "fast": [s for s in SOLVERS if s != "ga"],
-                "queued": ["ga"],
-            },
-            shards=shards,
-        )
+            "ga": {"inflight": total_inflight},
+            "shards": shards,
+        }
 
 
 def _recv_report(conn, timeout: float) -> dict[str, Any]:

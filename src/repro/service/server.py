@@ -13,11 +13,22 @@ problem.
 Request lifecycle for ``solve``::
 
     decode -> normalize -> deserialize problem (fingerprint check)
-      -> admission.route()          fast | ga | shed
+      -> route                      admission: fast | ga | shed
+      -> warm start                 (GA seeds join the payload)
       -> cache lookup               (content-addressed; hit -> respond)
       -> coalesce                   (identical in-flight solve -> share it)
       -> execute                    (fast executor | GA backend)
       -> cache store -> respond
+
+:class:`SchedulerService` owns each of these steps, the connection loop
+and the lifecycle once.  The sharded deployment's
+:class:`~repro.service.coordinator.Coordinator` and
+:class:`~repro.service.shard.ShardServer` are subclasses that override
+only the steps whose behaviour differs: routing (:meth:`_route`), where
+a core comes from on a cache miss (:meth:`_execute`), the backends
+(:meth:`_start_backends` / :meth:`_stop_backends`), when a frame is
+answered (:meth:`_answer`) and the role's ``status`` sections
+(:meth:`_status_sections`).
 
 Shedding is *service degradation*, not failure: an overloaded GA tier
 answers with the HEFT schedule for the same instance and seed, flagged
@@ -33,7 +44,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable
 
 from repro.io.features import problem_features
 from repro.io.json_io import problem_fingerprint, problem_from_dict
@@ -128,6 +139,12 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.ga_queue_limit < 0:
+            raise ValueError(
+                f"ga_queue_limit must be >= 0, got {self.ga_queue_limit}"
+            )
+        if self.cache_bytes < 0:
+            raise ValueError(f"cache_bytes must be >= 0, got {self.cache_bytes}")
         if self.max_line_bytes < 1024:
             raise ValueError(
                 f"max_line_bytes must be >= 1024, got {self.max_line_bytes}"
@@ -290,6 +307,8 @@ class SchedulerService:
         self._backend: _GaBackend | None = None
         self._fast_executor: concurrent.futures.ThreadPoolExecutor | None = None
         self._shutdown_event: asyncio.Event | None = None
+        # Every task serving a connection: its read loop, and on a shard
+        # each frame it answers in a task of its own.
         self._conn_tasks: set[asyncio.Task] = set()
         self._conns: set[Comm] = set()
         # Telemetry names stay unchanged on the classic single node; a
@@ -308,15 +327,9 @@ class SchedulerService:
     # --------------------------------------------------------------- lifecycle
 
     async def start(self) -> None:
-        """Bind the listener and start the GA backend."""
-        loop = asyncio.get_running_loop()
+        """Start the backends, then bind the listener."""
         self._shutdown_event = asyncio.Event()
-        self._fast_executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.fast_threads,
-            thread_name_prefix="repro-service-fast",
-        )
-        self._backend = _GaBackend(loop, self.config.workers)
-        self._backend.start()
+        await self._start_backends()
         self._listener = await comm_listen(
             self.listen_address,
             self._handle_comm,
@@ -329,6 +342,15 @@ class SchedulerService:
             f"(workers={self.config.workers}, "
             f"ga_queue_limit={self.config.ga_queue_limit})"
         )
+
+    async def _start_backends(self) -> None:
+        """Start the fast-tier thread pool and the GA backend."""
+        self._fast_executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.config.fast_threads,
+            thread_name_prefix="repro-service-fast",
+        )
+        self._backend = _GaBackend(asyncio.get_running_loop(), self.config.workers)
+        self._backend.start()
 
     async def run(self) -> None:
         """Serve until a ``shutdown`` request, then drain and close."""
@@ -364,13 +386,17 @@ class SchedulerService:
                 await asyncio.gather(*stragglers, return_exceptions=True)
             self._conn_tasks.clear()
         self._conns.clear()
+        await self._stop_backends()
+        self._log("stopped")
+
+    async def _stop_backends(self) -> None:
+        """Stop the GA backend and the fast-tier thread pool."""
         if self._backend is not None:
             self._backend.stop()
             self._backend = None
         if self._fast_executor is not None:
             self._fast_executor.shutdown(wait=False, cancel_futures=True)
             self._fast_executor = None
-        self._log("stopped")
 
     def _log(self, message: str) -> None:
         if self.progress is not None:
@@ -379,11 +405,25 @@ class SchedulerService:
     # ------------------------------------------------------------- connections
 
     async def _handle_comm(self, comm: Comm) -> None:
-        """Serve one connection: requests in order, one response each."""
+        """Serve one connection: one response per request frame.
+
+        Responses go out whole, behind one write lock per connection, so
+        :meth:`_answer` may answer frames concurrently.
+        """
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
         self._conns.add(comm)
+        lock = asyncio.Lock()
+
+        async def reply(message: dict[str, Any]) -> bool:
+            async with lock:
+                try:
+                    await comm.send(message)
+                except CommClosedError:
+                    return False
+            return True
+
         try:
             while True:
                 try:
@@ -393,33 +433,32 @@ class SchedulerService:
                     # answer with a clean protocol error, then close.
                     self.counters["errors"] += 1
                     obs.add("service.errors")
-                    try:
-                        await comm.send(
-                            error_response(
-                                None,
-                                "bad-request",
-                                "request line exceeds the "
-                                f"{self.config.max_line_bytes} byte limit; "
-                                "closing the connection",
-                            )
+                    await reply(
+                        error_response(
+                            None,
+                            "bad-request",
+                            "request line exceeds the "
+                            f"{self.config.max_line_bytes} byte limit; "
+                            "closing the connection",
                         )
-                    except (CommClosedError, FrameTooLargeError):
-                        pass
+                    )
                     break
                 except CommClosedError:
                     break
-                if not line.strip():
-                    continue
-                response = await self._respond(line)
-                try:
-                    await comm.send(response)
-                except CommClosedError:
+                if line.strip() and not await self._answer(line, reply):
                     break
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
             self._conns.discard(comm)
             await comm.aclose()
+
+    async def _answer(
+        self, line: bytes, reply: Callable[[dict[str, Any]], Awaitable[bool]]
+    ) -> bool:
+        """Answer one frame before the next is read, so responses keep
+        request order; False once the peer is gone."""
+        return await reply(await self._respond(line))
 
     async def _respond(self, line: bytes) -> dict[str, Any]:
         self.counters["requests"] += 1
@@ -480,22 +519,8 @@ class SchedulerService:
                 "bad-problem", f"problem payload rejected: {exc}"
             ) from exc
 
-        decision = self.admission.route(
-            request["solver"], self._ga_inflight, request["deadline_s"]
-        )
-        degraded = decision.tier == "shed"
-        if degraded:
-            self.counters["degraded"] += 1
-            obs.add("service.shed")
-            obs.event(
-                "service.shed",
-                solver=request["solver"],
-                reason=decision.reason,
-            )
-            # The degraded tier is HEFT with the same instance and seed —
-            # same cache entry as an explicit HEFT request would hit.
-            request = dict(request, solver="heft")
-        span.set(solver=request["solver"], tier=decision.tier)
+        request, tier, shed = self._route(request)
+        span.set(solver=request["solver"], tier=tier)
 
         request, features, warm_seeds_count = self._apply_warm_start(
             request, problem
@@ -504,33 +529,53 @@ class SchedulerService:
         key = cache_key(
             fingerprint, request["solver"], **solve_params(request)
         )
-        core, cached, coalesced = await self._compute(
-            key, request, decision.tier
+        core, cached, coalesced, relayed = await self._compute(
+            key, request, tier, fingerprint
         )
+        shed = shed or relayed
 
         self._record_warm_start(core, problem, fingerprint, features)
-        span.set(cached=cached, degraded=degraded)
-        if cached:
-            obs.add("service.cache_hit")
-        else:
-            obs.add("service.cache_miss")
+        span.set(cached=cached, degraded=shed is not None)
+        obs.add("service.cache_hit" if cached else "service.cache_miss")
         response = ok_response(request["id"], **core)
         response["cached"] = cached
         response["coalesced"] = coalesced
-        response["degraded"] = degraded
+        response["degraded"] = shed is not None
         response["warm_seeds"] = warm_seeds_count
-        if degraded:
+        if shed is not None:
             response["requested_solver"] = "ga"
-            response["degraded_reason"] = decision.reason
+            response["degraded_reason"] = shed
         response["elapsed_s"] = time.perf_counter() - t0
         return response
+
+    def _route(
+        self, request: dict[str, Any]
+    ) -> tuple[dict[str, Any], str, str | None]:
+        """Admission: the solve's tier, and the reason if it is shed.
+
+        A shed GA request becomes the HEFT request for the same instance
+        and seed before its cache key forms, so it shares an explicit
+        HEFT request's entry.  It counts as degraded here, at admission,
+        even when that entry is a hit.
+        """
+        decision = self.admission.route(
+            request["solver"], self._ga_inflight, request["deadline_s"]
+        )
+        if decision.tier != "shed":
+            return request, decision.tier, None
+        self.counters["degraded"] += 1
+        obs.add("service.shed")
+        obs.event(
+            "service.shed", solver=request["solver"], reason=decision.reason
+        )
+        return dict(request, solver="heft"), decision.tier, decision.reason
 
     # ------------------------------------------------------------ warm starts
 
     def _apply_warm_start(
         self, request: dict[str, Any], problem
     ) -> tuple[dict[str, Any], Any, int]:
-        """Inject warm-start seeds into a GA request (coordinator reuses this).
+        """Inject warm-start seeds into a GA request.
 
         The seeds become part of the request payload *before* the cache
         key is formed, so identical (problem, params, seeds) requests
@@ -577,52 +622,62 @@ class SchedulerService:
             )
 
     async def _compute(
-        self, key: str, request: dict[str, Any], tier: str
-    ) -> tuple[dict[str, Any], bool, bool]:
-        """Resolve one solve: cache, coalesce with an in-flight twin, or run."""
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached, True, False
+        self, key: str, request: dict[str, Any], tier: str, fingerprint: str
+    ) -> tuple[dict[str, Any], bool, bool, str | None]:
+        """Resolve one solve: cache, coalesce with an in-flight twin, or run.
+
+        Returns ``(core, cached, coalesced, relayed)``.  ``relayed`` is
+        the reason a core :meth:`_execute` relayed is a shed stand-in: it
+        answers another key than *key*, so it is never stored under it.
+        """
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit, True, False, None
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.counters["coalesced"] += 1
             obs.add("service.coalesced")
-            core = await asyncio.shield(inflight)
-            return dict(core), False, True
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+            core, relayed = await asyncio.shield(inflight)
+            return dict(core), False, True, relayed
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            if tier == "ga":
-                core = await self._run_ga(request, future)
-            else:
-                core = await loop.run_in_executor(
-                    self._fast_executor, execute_payload, dict(request)
-                )
-                if not future.done():
-                    future.set_result(core)
+            core, cached, relayed = await self._execute(request, tier, fingerprint)
+            future.set_result((core, relayed))
         except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-            # A coalesced waiter may never retrieve it; don't warn.
-            future.exception()
+            future.set_exception(exc)
+            future.exception()  # a coalesced waiter may never retrieve it
             raise
         finally:
             self._inflight.pop(key, None)
-        self.cache.put(key, core)
-        return dict(core), False, False
+        if relayed is None:
+            self.cache.put(key, core)
+        return dict(core), cached, False, relayed
 
-    async def _run_ga(
-        self, request: dict[str, Any], future: asyncio.Future
-    ) -> dict[str, Any]:
+    async def _execute(
+        self, request: dict[str, Any], tier: str, fingerprint: str
+    ) -> tuple[dict[str, Any], bool, str | None]:
+        """The core of a cache miss, whether it was a cache hit where it
+        was computed, and the reason it was shed there.  A single node
+        computes it itself: on the fast pool, or on the GA backend."""
+        if tier == "ga":
+            core = await self._run_ga(request)
+        else:
+            core = await asyncio.get_running_loop().run_in_executor(
+                self._fast_executor, execute_payload, dict(request)
+            )
+        return core, False, None
+
+    async def _run_ga(self, request: dict[str, Any]) -> dict[str, Any]:
         self._ga_inflight += 1
         obs.set_gauge(
             f"service.ga_inflight{self._gauge_suffix}", float(self._ga_inflight)
         )
         t0 = time.perf_counter()
         try:
+            future = asyncio.get_running_loop().create_future()
             self._backend.submit(dict(request), future)
-            core = await asyncio.shield(future)
+            core = await future
             self.admission.observe_ga_seconds(time.perf_counter() - t0)
             return core
         finally:
@@ -635,15 +690,6 @@ class SchedulerService:
     # ----------------------------------------------------------------- status
 
     def _status_response(self, request_id: Any) -> dict[str, Any]:
-        queue_depth = max(0, self._ga_inflight - self.config.workers)
-        obs.set_gauge(
-            f"service.ga_queue_depth{self._gauge_suffix}", float(queue_depth)
-        )
-        load = self.admission.stream_load()
-        if load is not None:
-            obs.set_gauge(
-                f"service.stream_load{self._gauge_suffix}", float(load)
-            )
         server: dict[str, Any] = {
             "protocol": PROTOCOL_VERSION,
             "uptime_s": time.monotonic() - self._started,
@@ -658,15 +704,31 @@ class SchedulerService:
             server=server,
             requests=dict(self.counters),
             cache=self.cache.stats(),
-            admission=self.admission.stats(),
             warm_start=self.warm_store.stats(),
-            ga={
-                "inflight": self._ga_inflight,
-                "queue_depth": queue_depth,
-                "queue_limit": self.config.ga_queue_limit,
-            },
             solvers={
                 "fast": [s for s in SOLVERS if s != "ga"],
                 "queued": ["ga"],
             },
+            **self._status_sections(server),
         )
+
+    def _status_sections(self, server: dict[str, Any]) -> dict[str, Any]:
+        """The ``status`` sections of this role, which may also add to
+        *server*: here admission and the GA tier."""
+        queue_depth = max(0, self._ga_inflight - self.config.workers)
+        obs.set_gauge(
+            f"service.ga_queue_depth{self._gauge_suffix}", float(queue_depth)
+        )
+        load = self.admission.stream_load()
+        if load is not None:
+            obs.set_gauge(
+                f"service.stream_load{self._gauge_suffix}", float(load)
+            )
+        return {
+            "admission": self.admission.stats(),
+            "ga": {
+                "inflight": self._ga_inflight,
+                "queue_depth": queue_depth,
+                "queue_limit": self.config.ga_queue_limit,
+            },
+        }

@@ -284,6 +284,73 @@ class TestRouting:
         assert sum(s["routed"] for s in stolen_to) >= 1
 
 
+class TestCoordinatorPipeline:
+    """The coordinator relays a shard's shed and coalesces in-flight
+    twins, as the single node does."""
+
+    GA = dict(solver="ga", epsilon=1.2, seed=3, ga=GA_SMALL, n_realizations=50)
+
+    def test_relays_a_shard_shed_exactly_once(self, ga_gate):
+        busy, shed = _problem(seed=41, n=12), _problem(seed=42, n=12)
+        with CoordinatorHarness(
+            shards=1, transport="inproc", workers=1, ga_queue_limit=0
+        ) as harness:
+            shard = harness.coordinator._shards["shard-0"].service
+
+            def solve_busy():
+                with harness.client() as client:
+                    return client.solve(busy, **self.GA)
+
+            with ThreadPoolExecutor(1) as pool:
+                # The shard's one GA slot is held, and its queue is empty.
+                with ga_gate.holding():
+                    first = pool.submit(solve_busy)
+                    ga_gate.wait_for(lambda: shard._ga_inflight >= 1)
+                    with harness.client() as client:
+                        degraded = client.solve(shed, warm_start=False, **self.GA)
+                        during = client.status()
+                assert first.result()["ok"]
+            with harness.client() as client:
+                again = client.solve(shed, warm_start=False, **self.GA)
+                after = client.status()
+        assert degraded["degraded"] and not degraded["cached"]
+        assert degraded["requested_solver"] == "ga"
+        assert degraded["solver"] == "heft"
+        assert "queue" in degraded["degraded_reason"]
+        assert during["requests"]["degraded"] == 1
+        # A relayed shed is never written through under the GA key.
+        assert again["solver"] == "ga"
+        assert not again["degraded"] and not again["cached"]
+        assert after["requests"]["degraded"] == 1
+
+    def test_coalesces_identical_inflight_requests(self, ga_gate):
+        problem = _problem(seed=43, n=12)
+        with CoordinatorHarness(shards=2, transport="inproc") as harness:
+
+            def solve():
+                with harness.client() as client:
+                    return client.solve(problem, warm_start=False, **self.GA)
+
+            with ThreadPoolExecutor(2) as pool:
+                with ga_gate.holding():
+                    futures = [pool.submit(solve) for _ in range(2)]
+                    ga_gate.wait_for(
+                        lambda: harness.coordinator.counters["coalesced"] >= 1
+                    )
+                results = [f.result() for f in futures]
+            with harness.client() as client:
+                status = client.status()
+        routing = status["routing"]
+        assert routing["home"] + routing["stolen"] + routing["failover"] == 1
+        assert sorted(r["coalesced"] for r in results) == [False, True]
+        assert status["requests"]["coalesced"] == 1
+        first, second = (
+            {k: v for k, v in _core(r).items() if k != "coalesced"}
+            for r in results
+        )
+        assert first == second
+
+
 class TestChaos:
     def test_kill_one_shard_zero_failed_requests(self, ga_gate):
         problems = [_problem(seed=s, n=25) for s in range(8)]

@@ -423,6 +423,25 @@ class TestStreamAdmission:
         with pytest.raises(ValueError, match="stream_threshold"):
             ServiceConfig(stream_threshold=-0.1)
 
+    @pytest.mark.parametrize("config", ["ServiceConfig", "CoordinatorConfig"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", 0),
+            ("fast_threads", 0),
+            ("stream_threshold", 1.5),
+            ("max_line_bytes", 10),
+            ("ga_queue_limit", -1),
+            ("cache_bytes", -5),
+            ("admission_mode", "psychic"),
+        ],
+    )
+    def test_configs_reject_bad_fields_when_built(self, config, field, value):
+        import repro.service
+
+        with pytest.raises(ValueError, match=field.replace("_mode", " mode")):
+            getattr(repro.service, config)(**{field: value})
+
 
 class TestExecutePayload:
     def test_heuristic_matches_direct_api(self, small_random_problem):
