@@ -6,7 +6,10 @@ evaluation, batch makespans (on a warm and on a freshly decoded
 schedule), a whole Monte-Carlo report (one
 ``mc_makespans`` call with the native library), a one-generation GA run,
 a paper-cell-shaped GA run of 300 generations, the GA's initial
-population (one ``ga_random_rows`` call), and HEFT.
+population (one ``ga_random_rows`` call), and HEFT.  Two cases time what
+every service request pays before it solves: decoding a problem payload
+(``test_perf_problem_from_dict``) and building its task graph
+(``test_perf_taskgraph_build``).
 """
 
 import numpy as np
@@ -16,8 +19,10 @@ from repro.core.problem import SchedulingProblem
 from repro.ga.engine import GAParams, GeneticScheduler
 from repro.ga.fitness import EpsilonConstraintFitness, SlackFitness
 from repro.graph.generator import DagParams
+from repro.graph.taskgraph import TaskGraph
 from repro.heuristics.heft import HeftScheduler
 from repro.heuristics.random_sched import random_schedule
+from repro.io.json_io import problem_from_dict, problem_to_dict
 from repro.platform.uncertainty import UncertaintyParams
 from repro.robustness.montecarlo import assess_robustness
 from repro.schedule.evaluation import batch_makespans, evaluate
@@ -126,3 +131,28 @@ def test_perf_ga_run(benchmark, paper_problem, paper_schedule):
 def test_perf_random_schedule_decode(benchmark, paper_problem):
     out = benchmark(lambda: random_schedule(paper_problem, 3))
     assert out.n == 100
+
+
+def test_perf_problem_from_dict(benchmark):
+    """One decode of a ``service-mix``-shaped payload (40 tasks, 4
+    processors), fingerprint check included."""
+    payload = problem_to_dict(
+        SchedulingProblem.random(
+            m=4,
+            dag_params=DagParams(n=40),
+            uncertainty_params=UncertaintyParams(mean_ul=2.0),
+            rng=1,
+        )
+    )
+    problem = benchmark(lambda: problem_from_dict(payload))
+    assert problem.n == 40
+
+
+def test_perf_taskgraph_build(benchmark, paper_problem):
+    """The checks, CSR indexes and topological order of a 100-task graph,
+    built from its JSON-style edge list."""
+    graph = paper_problem.graph
+    edges = [[int(u), int(v)] for u, v in zip(graph.edge_src, graph.edge_dst)]
+    data = graph.edge_data.tolist()
+    built = benchmark(lambda: TaskGraph(graph.n, edges, data))
+    assert built == graph

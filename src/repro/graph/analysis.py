@@ -210,11 +210,17 @@ class ArrayDag:
         The result is cached on the graph (task graphs are immutable), so
         repeated calls — ``critical_path_length``, ``critical_path`` and
         ``dag_levels`` on the same graph — build it once.  It adopts the
-        graph's own CSR indexes, which the same stable sorts built.
+        graph's own CSR indexes, which hold the same groupings the stable
+        sorts would build, and the graph's canonical order as its trusted
+        ``topo``: the graph proved it acyclic and it is the same
+        lexicographically smallest order, so the level peel waits for the
+        first read of ``level`` or ``depth``, as on a GA decode.
         """
         dag = graph._dag
         if dag is None:
-            dag = ArrayDag(graph.n, graph.edge_src, graph.edge_dst)
+            dag = ArrayDag(
+                graph.n, graph.edge_src, graph.edge_dst, topo=graph.topological
+            )
             dag._pred = graph._pred_indptr, graph._pred_eidx
             dag._succ = graph._succ_indptr, graph._succ_eidx
             graph._dag = dag

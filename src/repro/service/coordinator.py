@@ -506,9 +506,11 @@ class Coordinator(SchedulerService):
         return request, "coordinator", None
 
     async def _execute(
-        self, request: dict[str, Any], tier: str, fingerprint: str
+        self, request: dict[str, Any], tier: str, fingerprint: str, problem
     ) -> tuple[dict[str, Any], bool, str | None]:
         """Dispatch a cache miss to a shard and relay its answer.
+
+        The shard decodes the payload itself, so *problem* goes unused.
 
         The shard's ``cached`` flag and shed reason come back with the
         core.  A relayed shed counts as degraded here unless the shard

@@ -20,6 +20,12 @@ Request lifecycle for ``solve``::
       -> execute                    (fast executor | GA backend)
       -> cache store -> respond
 
+The problem is deserialized once per process: :meth:`_solve` decodes it,
+and the same object goes through :meth:`_compute` and :meth:`_execute`
+to :func:`~repro.service.solvers.execute_payload` (pickled to the worker
+when the GA tier runs a process pool), which therefore does not decode
+it again.
+
 :class:`SchedulerService` owns each of these steps, the connection loop
 and the lifecycle once.  The sharded deployment's
 :class:`~repro.service.coordinator.Coordinator` and
@@ -165,9 +171,10 @@ class ServiceConfig:
 class _GaBackend:
     """Feeds GA jobs to a cluster Scheduler from a daemon thread.
 
-    The event loop hands ``(payload, future)`` pairs over a thread-safe
-    queue; the thread submits them to the incremental scheduler and
-    resolves the asyncio futures back on the loop as outcomes arrive.
+    The event loop hands ``(payload, problem, future)`` jobs over a
+    thread-safe queue; the thread submits them to the incremental
+    scheduler and resolves the asyncio futures back on the loop as
+    outcomes arrive.
     With one worker the scheduler's serial path runs the solve inline on
     this thread, which is exactly the single-slot GA tier.  With no job in
     flight the thread blocks on the queue, so a request that reaches an
@@ -190,8 +197,8 @@ class _GaBackend:
         self._jobs.put(None)  # wakes an idle thread; in-flight jobs finish
         self._thread.join(timeout=timeout)
 
-    def submit(self, payload: dict, future: asyncio.Future) -> None:
-        self._jobs.put((payload, future))
+    def submit(self, payload: dict, problem, future: asyncio.Future) -> None:
+        self._jobs.put((payload, problem, future))
 
     # ----------------------------------------------------------- thread side
 
@@ -217,14 +224,14 @@ class _GaBackend:
                     if job is None:
                         stopping = True
                         continue
-                    payload, future = job
+                    payload, problem, future = job
                     seq += 1
                     pending[f"ga-{seq}"] = future
                     scheduler.submit(
                         TaskSpec(
                             key=f"ga-{seq}",
                             fn=execute_payload,
-                            args=(payload,),
+                            args=(payload, problem),
                             max_retries=1,
                         )
                     )
@@ -530,7 +537,7 @@ class SchedulerService:
             fingerprint, request["solver"], **solve_params(request)
         )
         core, cached, coalesced, relayed = await self._compute(
-            key, request, tier, fingerprint
+            key, request, tier, fingerprint, problem
         )
         shed = shed or relayed
 
@@ -622,7 +629,12 @@ class SchedulerService:
             )
 
     async def _compute(
-        self, key: str, request: dict[str, Any], tier: str, fingerprint: str
+        self,
+        key: str,
+        request: dict[str, Any],
+        tier: str,
+        fingerprint: str,
+        problem,
     ) -> tuple[dict[str, Any], bool, bool, str | None]:
         """Resolve one solve: cache, coalesce with an in-flight twin, or run.
 
@@ -642,7 +654,9 @@ class SchedulerService:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            core, cached, relayed = await self._execute(request, tier, fingerprint)
+            core, cached, relayed = await self._execute(
+                request, tier, fingerprint, problem
+            )
             future.set_result((core, relayed))
         except Exception as exc:
             future.set_exception(exc)
@@ -655,20 +669,21 @@ class SchedulerService:
         return dict(core), cached, False, relayed
 
     async def _execute(
-        self, request: dict[str, Any], tier: str, fingerprint: str
+        self, request: dict[str, Any], tier: str, fingerprint: str, problem
     ) -> tuple[dict[str, Any], bool, str | None]:
         """The core of a cache miss, whether it was a cache hit where it
         was computed, and the reason it was shed there.  A single node
-        computes it itself: on the fast pool, or on the GA backend."""
+        computes it itself, from the *problem* :meth:`_solve` decoded: on
+        the fast pool, or on the GA backend."""
         if tier == "ga":
-            core = await self._run_ga(request)
+            core = await self._run_ga(request, problem)
         else:
             core = await asyncio.get_running_loop().run_in_executor(
-                self._fast_executor, execute_payload, dict(request)
+                self._fast_executor, execute_payload, dict(request), problem
             )
         return core, False, None
 
-    async def _run_ga(self, request: dict[str, Any]) -> dict[str, Any]:
+    async def _run_ga(self, request: dict[str, Any], problem) -> dict[str, Any]:
         self._ga_inflight += 1
         obs.set_gauge(
             f"service.ga_inflight{self._gauge_suffix}", float(self._ga_inflight)
@@ -676,7 +691,7 @@ class SchedulerService:
         t0 = time.perf_counter()
         try:
             future = asyncio.get_running_loop().create_future()
-            self._backend.submit(dict(request), future)
+            self._backend.submit(dict(request), problem, future)
             core = await future
             self.admission.observe_ga_seconds(time.perf_counter() - t0)
             return core

@@ -17,10 +17,17 @@ with the same inputs:
 
 The ``seed + 1`` derivation keeps the GA's stream (rooted at ``seed``)
 and the Monte-Carlo stream independent, mirroring the CLI's convention.
-Because the function is module-level and its argument is a plain JSON
-dict, it is also a valid :class:`repro.cluster.task.TaskSpec` target —
-the server runs GA work through the cluster pool with ``--workers > 1``
-and results stay identical to the inline path.
+Because the function is module-level and its arguments are a plain JSON
+dict and an optional, picklable problem, it is also a valid
+:class:`repro.cluster.task.TaskSpec` target — the server runs GA work
+through the cluster pool with ``--workers > 1`` and results stay
+identical to the inline path.
+
+The server has decoded the problem before it calls
+:func:`execute_payload` (to fingerprint it for the cache key), so it
+hands that object over instead of having it decoded a second time.  The
+contract stays the payload's: a given problem must be the decode of
+``request["problem"]``, and the result is the same with or without it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import hashlib
 import json
 from typing import Any
 
+from repro.core.problem import SchedulingProblem
 from repro.ga.engine import GAParams
 from repro.io.json_io import (
     problem_from_dict,
@@ -85,17 +93,24 @@ def solve_params(request: dict[str, Any]) -> dict[str, Any]:
     return params
 
 
-def execute_payload(request: dict[str, Any]) -> dict[str, Any]:
+def execute_payload(
+    request: dict[str, Any], problem: SchedulingProblem | None = None
+) -> dict[str, Any]:
     """Solve one normalized request; returns the cacheable response core.
 
     The returned dict contains only content derived from the request
     (schedule, robustness report, solver identification) — no timings or
     server state — so it can be cached, shipped across the cluster pool
     and compared bit-for-bit against a direct API run.
+
+    *problem*, when given, must be ``problem_from_dict(request["problem"])``
+    (the caller's own decode of the same payload); it saves the decode.
+    Without it the payload is decoded here.
     """
     from repro.robustness.montecarlo import assess_robustness
 
-    problem = problem_from_dict(request["problem"])
+    if problem is None:
+        problem = problem_from_dict(request["problem"])
     solver = request["solver"]
     seed = request["seed"]
     result: dict[str, Any] = {

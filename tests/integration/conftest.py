@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.service import server
+from repro.service import server, solvers
 
 
 class GaGate:
@@ -55,10 +55,26 @@ def ga_gate(monkeypatch) -> GaGate:
     gate = GaGate()
     execute = server.execute_payload
 
-    def gated(request):
+    def gated(request, problem=None):
         if request["solver"] == "ga":
             gate.wait()
-        return execute(request)
+        return execute(request, problem)
 
     monkeypatch.setattr(server, "execute_payload", gated)
     return gate
+
+
+@pytest.fixture
+def decodes(monkeypatch) -> list[int]:
+    """Count the ``problem_from_dict`` calls the service makes in this
+    process (its pipeline and its solver): ``decodes[0]`` after a request."""
+    calls = [0]
+    decode = server.problem_from_dict
+
+    def counting(payload):
+        calls[0] += 1
+        return decode(payload)
+
+    monkeypatch.setattr(server, "problem_from_dict", counting)
+    monkeypatch.setattr(solvers, "problem_from_dict", counting)
+    return calls

@@ -19,7 +19,7 @@ from repro.core.robust import RobustScheduler
 from repro.ga.engine import GAParams
 from repro.graph.generator import DagParams
 from repro.heuristics import HeftScheduler
-from repro.io import report_to_dict, schedule_to_dict
+from repro.io import problem_to_dict, report_to_dict, schedule_to_dict
 from repro.platform.uncertainty import UncertaintyParams
 from repro.robustness.montecarlo import assess_robustness
 from repro.service import SchedulerService, ServiceClient, ServiceConfig
@@ -316,8 +316,42 @@ class TestServiceEndToEnd:
                     {"op": "solve", "problem": {"format": "nope"}}
                 )
                 assert response["error"]["code"] == "bad-problem"
+                # A task count past the matrices' rows is rejected before
+                # it sizes anything (10**12 tasks would be a MemoryError).
+                payload = problem_to_dict(_problem(seed=3, n=10))
+                payload["graph"]["n"] = 10**12
+                response = client.request(
+                    {"op": "solve", "problem": payload, "solver": "heft"}
+                )
+                assert response["error"]["code"] == "bad-problem"
+                assert "covers 10 tasks" in response["error"]["message"]
                 # The connection survives all of it.
                 assert client.ping()
+
+
+class TestDecodesPerRequest:
+    """A single node decodes a solve's problem once: ``_solve``'s decode
+    is the one the solver runs on, on the fast pool and on the GA tier."""
+
+    def test_cold_heft_solve_decodes_once(self, decodes):
+        with ServiceHarness(workers=1) as harness:
+            with harness.client() as client:
+                response = client.solve(
+                    _problem(seed=31, n=12), solver="heft", seed=1,
+                    n_realizations=N_REAL,
+                )
+        assert not response["cached"]
+        assert decodes[0] == 1
+
+    def test_cold_ga_solve_decodes_once(self, decodes):
+        with ServiceHarness(workers=1) as harness:
+            with harness.client() as client:
+                response = client.solve(
+                    _problem(seed=32, n=12), solver="ga", epsilon=1.2,
+                    seed=1, n_realizations=N_REAL, ga=GA_SMALL,
+                )
+        assert response["solver"] == "ga" and not response["degraded"]
+        assert decodes[0] == 1
 
 
 @pytest.mark.parametrize("solver", ["cpop", "peft", "minmin"])

@@ -166,6 +166,24 @@ class TestShardedParity:
         assert routed >= len(problems) * 2
         assert status["server"]["role"] == "coordinator"
 
+    def test_each_process_decodes_once(self, decodes):
+        """A cold solve decodes in the coordinator and in the shard, which
+        hands its decode to the solver; a coordinator cache hit decodes
+        once."""
+        problem = _problem(seed=17, n=12)
+        with CoordinatorHarness(shards=2, transport="inproc") as harness:
+            with harness.client() as client:
+                cold = client.solve(
+                    problem, solver="heft", seed=2, n_realizations=N_REAL
+                )
+                cold_decodes = decodes[0]
+                repeat = client.solve(
+                    problem, solver="heft", seed=2, n_realizations=N_REAL
+                )
+        assert not cold["cached"] and repeat["cached"]
+        assert cold_decodes == 2
+        assert decodes[0] - cold_decodes == 1
+
     def test_shard_count_does_not_change_responses(self):
         problem = _problem(seed=11, n=15)
         cores = []

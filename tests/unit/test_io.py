@@ -61,6 +61,18 @@ class TestProblemRoundtrip:
         with pytest.raises(ValueError, match="version"):
             problem_from_dict(payload)
 
+    @pytest.mark.parametrize("n", [1_000_000, 10**12])
+    def test_rejects_task_count_past_the_matrices(self, small_random_problem, n):
+        """A declared task count the BCET rows disagree with is rejected
+        before anything is sized by it: 10**12 tasks would not fit."""
+        payload = problem_to_dict(small_random_problem)
+        payload["graph"]["n"] = n
+        rows = small_random_problem.n
+        with pytest.raises(
+            ValueError, match=f"covers {rows} tasks but the graph has {n}$"
+        ):
+            problem_from_dict(payload)
+
     def test_detects_corruption(self, small_random_problem):
         payload = problem_to_dict(small_random_problem)
         payload["uncertainty"]["bcet"][0][0] += 1.0

@@ -44,6 +44,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             TaskGraph(2, [(-1, 0)])
 
+    def test_rejects_endpoint_beyond_int64(self):
+        with pytest.raises(ValueError, match="out of range"):
+            TaskGraph(2, [(0, 10**30)])
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1, 2)], [(0,)], np.zeros((2, 3), dtype=np.int64)]
+    )
+    def test_rejects_edges_that_are_not_pairs(self, edges):
+        with pytest.raises(ValueError):
+            TaskGraph(3, edges)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             TaskGraph(2, [(1, 1)])
