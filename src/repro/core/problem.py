@@ -30,6 +30,18 @@ from repro.utils.rng import as_generator
 __all__ = ["SchedulingProblem"]
 
 
+def _check_task_count(uncertainty: UncertaintyModel, n: int) -> None:
+    """Raise ``ValueError`` unless *uncertainty* covers exactly *n* tasks.
+
+    :class:`SchedulingProblem` checks its graph with it; a problem decoder
+    checks a declared task count with it before anything is sized by it.
+    """
+    if uncertainty.n != n:
+        raise ValueError(
+            f"uncertainty model covers {uncertainty.n} tasks but the graph has {n}"
+        )
+
+
 @dataclass(frozen=True)
 class SchedulingProblem:
     """A task graph, a platform, and an uncertainty model.
@@ -53,11 +65,7 @@ class SchedulingProblem:
     name: str = field(default="problem")
 
     def __post_init__(self) -> None:
-        if self.uncertainty.n != self.graph.n:
-            raise ValueError(
-                f"uncertainty model covers {self.uncertainty.n} tasks but the "
-                f"graph has {self.graph.n}"
-            )
+        _check_task_count(self.uncertainty, self.graph.n)
         if self.uncertainty.m != self.platform.m:
             raise ValueError(
                 f"uncertainty model covers {self.uncertainty.m} processors but "
